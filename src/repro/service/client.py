@@ -8,8 +8,18 @@ retry hint, any other error status becomes
 :class:`~repro.service.errors.ServiceRequestError` — so in-process and
 over-the-wire callers share one error-handling story.
 
-Connections are per-request: the daemon is thread-per-request anyway,
-and a stateless client survives server restarts without bookkeeping.
+Connections are per-request, so a stateless client survives server
+restarts without bookkeeping.  The daemon is a
+:class:`~http.server.ThreadingHTTPServer`, which is thread-per-
+*connection*: each request here pays a TCP handshake and a thread start,
+about a millisecond on loopback.  A fresh connection also never met the
+~40 ms Nagle/delayed-ACK stall that keep-alive callers hit before the
+daemon set ``TCP_NODELAY``: a new connection starts in quick-ACK mode,
+so the client ACKs the response headers at once and the held-back body
+follows, while a connection that has carried a few exchanges delays its
+ACKs.  Callers that send many requests in a row can hold one HTTP/1.1
+connection open instead (see the Protocol section of
+:mod:`repro.service`).
 """
 
 from __future__ import annotations

@@ -430,6 +430,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
     """Thin HTTP/JSON shim around :meth:`ReproService.handle`."""
 
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket.  A response goes out as two
+    # writes (headers, then body); with Nagle on, the body waits for the
+    # peer to ACK the headers, and a keep-alive peer delays that ACK by
+    # ~40 ms on every response.
+    disable_nagle_algorithm = True
     server: ReproServiceServer
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -440,6 +445,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         if status == 429:
             retry_after = body.get("retry_after")
             if retry_after is not None:
@@ -456,6 +463,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", 0) or 0)
         except ValueError:
+            length = -1
+        if length < 0:
+            # Where the body ends is unknown, so no later request on this
+            # connection can be framed: answer, then hang up.
+            self.close_connection = True
             self._respond(400, {"error": "bad Content-Length"})
             return
         raw = self.rfile.read(length) if length else b""

@@ -1,6 +1,11 @@
 """Tests for the service endpoints, payload parsing and the HTTP layer."""
 
+import http.client
+import json
+import socket
+import statistics
 import threading
+import time
 
 import pytest
 
@@ -227,8 +232,6 @@ class TestHttpLayer:
         assert excinfo.value.status == 400
 
     def test_non_json_body_is_400(self, live_server):
-        import http.client
-
         connection = http.client.HTTPConnection(
             "127.0.0.1", live_server.server_address[1], timeout=10)
         try:
@@ -241,6 +244,72 @@ class TestHttpLayer:
             response.read()
         finally:
             connection.close()
+
+    def test_keep_alive_round_trips_do_not_stall(self, live_server):
+        # Headers and body leave in two writes; without TCP_NODELAY the
+        # body waits out the client's ~40 ms delayed ACK every time.
+        requests = [("GET", "/healthz", None),
+                    ("POST", "/schedule", {"task": "jpeg_decoder",
+                                           "tiles": 4})] * 10
+        requests[7] = ("POST", "/schedule", {"task": "ghost"})
+        requests[12] = ("GET", "/nope", None)
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", live_server.server_address[1], timeout=10)
+        round_trips, statuses, sockets = [], [], set()
+        try:
+            for method, path, payload in requests:
+                body = None if payload is None else json.dumps(payload)
+                start = time.perf_counter()
+                connection.request(method, path, body=body)
+                response = connection.getresponse()
+                response.read()
+                round_trips.append(time.perf_counter() - start)
+                statuses.append(response.status)
+                sockets.add(connection.sock)
+        finally:
+            connection.close()
+        assert statuses.count(200) == 18
+        assert (statuses[7], statuses[12]) == (400, 404)
+        assert len(sockets) == 1  # every request rode the one connection
+        assert statistics.median(round_trips) < 0.010, round_trips
+
+    @staticmethod
+    def _raw_exchange(port: int, request: bytes) -> bytes:
+        """Send raw bytes; everything the server says until it hangs up."""
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=5) as sock:
+            sock.sendall(request)
+            received = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    return received
+                received += chunk
+
+    def test_negative_content_length_is_400_and_closes(self, live_server):
+        reply = self._raw_exchange(
+            live_server.server_address[1],
+            b"POST /schedule HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: -1\r\n\r\n",
+        )
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close\r\n" in reply
+        assert b"bad Content-Length" in reply
+
+    def test_non_integer_content_length_is_400_and_closes(self,
+                                                          live_server):
+        # The bytes after the headers are an unframed body, so the GET
+        # inside them must not be answered as a second request.
+        reply = self._raw_exchange(
+            live_server.server_address[1],
+            b"POST /schedule HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: abc\r\n\r\n"
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+            b"Connection: close\r\n\r\n",
+        )
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert reply.count(b"HTTP/1.1 ") == 1, reply
+        assert b"\r\nConnection: close\r\n" in reply
 
 
 class TestCliParser:
