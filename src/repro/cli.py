@@ -99,13 +99,8 @@ from .scheduling.base import PrefetchProblem
 from .scheduling.list_scheduler import build_initial_schedule
 from .scheduling.noprefetch import OnDemandScheduler
 from .scheduling.prefetch_bb import OptimalPrefetchScheduler
-from .service.state import TASK_GRAPHS
 from .sim.trace import render_gantt
-
-#: Deprecated alias: the demo sub-command addresses the same benchmark
-#: graphs the service's ``/schedule`` endpoint does — both are views of
-#: the unified registry (:mod:`repro.workloads.registry`).
-_DEMO_GRAPHS = TASK_GRAPHS
+from .workloads import registry as workload_registry
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo = subparsers.add_parser(
         "demo", help="Show the prefetch schedules of one benchmark task"
     )
-    demo.add_argument("--task", choices=sorted(_DEMO_GRAPHS),
+    demo.add_argument("--task", choices=workload_registry.task_graph_names(),
                       default="jpeg_decoder")
     demo.add_argument("--tiles", type=int, default=8)
     demo.add_argument("--latency", type=float, default=4.0)
@@ -638,7 +633,7 @@ def _run_trace_run(args, jobs: int, cache_dir: Optional[str]) -> int:
 
 def _run_demo(task: str, tiles: int, latency: float) -> str:
     """Render the no-prefetch / optimal / hybrid schedules of one task."""
-    graph = _DEMO_GRAPHS[task]()
+    graph = workload_registry.build_task_graph(task)
     platform = Platform(tile_count=tiles, reconfiguration_latency=latency)
     placed = build_initial_schedule(graph, platform)
     problem = PrefetchProblem(placed, latency)

@@ -13,6 +13,7 @@ parameter here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import List
 
@@ -85,6 +86,10 @@ class Platform:
     name: str = "icn-fpga"
 
     def __post_init__(self) -> None:
+        for name in ("tile_count", "reconfiguration_latency", "isp_count"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise PlatformError(f"{name} must be finite, got {value!r}")
         if self.tile_count <= 0:
             raise PlatformError(
                 f"platform needs at least one DRHW tile, got {self.tile_count}"

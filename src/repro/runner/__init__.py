@@ -61,7 +61,6 @@ from .spec import (
     ApproachSpec,
     SweepPoint,
     SweepSpec,
-    WORKLOAD_FACTORIES,
     WorkloadSpec,
 )
 from .tracestream import (
@@ -96,7 +95,6 @@ __all__ = [
     "TraceStreamConfig",
     "TraceStreamResult",
     "TraceStreamStats",
-    "WORKLOAD_FACTORIES",
     "WorkloadSpec",
     "aggregate",
     "default_jobs",

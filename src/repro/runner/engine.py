@@ -17,12 +17,11 @@ experiment drivers rely on:
   warm rerun returns without simulating anything.
 
 ``max_workers=1`` (the default) runs everything in-process, which keeps
-single-point callers (tests, the thin :func:`repro.sim.simulator.sweep_tile_counts`
-wrapper) free of any multiprocessing machinery.  ``max_workers>1`` fans
-the groups out over a :class:`concurrent.futures.ProcessPoolExecutor`;
-if the platform cannot provide worker processes (sandboxes without
-``fork``/semaphores) the engine degrades to in-process execution rather
-than failing the sweep.
+small callers (tests, quick experiment runs) free of any multiprocessing
+machinery.  ``max_workers>1`` fans the groups out over a
+:class:`concurrent.futures.ProcessPoolExecutor`; if the platform cannot
+provide worker processes (sandboxes without ``fork``/semaphores) the
+engine degrades to in-process execution rather than failing the sweep.
 
 :func:`parallel_map` is the lower-level primitive behind the
 non-simulation drivers (Table 1, hide-rate, scalability): an ordered,
@@ -116,11 +115,12 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
 
 from ..errors import ConfigurationError
 from ..platform.description import Platform
-from ..scheduling.pool import process_scheduler_pool
+from ..scheduling.pool import SchedulerPool, process_scheduler_pool
 from ..scheduling.ttstore import TranspositionStore
 from ..sim.metrics import SimulationMetrics
 from ..sim.simulator import SystemSimulator
 from ..tcm.design_time import TcmDesignTimeResult, TcmDesignTimeScheduler
+from ..workloads.base import Workload
 from .cache import ExplorationCache, ResultCache
 from .claims import (
     DEFAULT_CLAIM_TTL,
@@ -172,7 +172,7 @@ _TT_OUTER_STORE = None
 # --------------------------------------------------------------------- #
 def explore_platform(workload_spec: WorkloadSpec, tile_count: int,
                      exploration_dir: Optional[str] = None
-                     ) -> Tuple[object, Platform, TcmDesignTimeResult]:
+                     ) -> Tuple[Workload, Platform, TcmDesignTimeResult]:
     """Build (workload, platform, design-time exploration) for one group.
 
     With ``exploration_dir`` set, the exploration is memoized on disk
@@ -196,6 +196,28 @@ def explore_platform(workload_spec: WorkloadSpec, tile_count: int,
         return workload, platform, design
     explorer = TcmDesignTimeScheduler(platform)
     return workload, platform, explorer.explore(workload.task_set)
+
+
+def simulate_point(point: SweepPoint, workload: Workload,
+                   platform: Platform, design: TcmDesignTimeResult,
+                   pool: SchedulerPool) -> SimulationMetrics:
+    """Simulate one point on a shared exploration and engine pool.
+
+    The point gets a fresh approach (approaches carry per-run design-time
+    state) bound to ``pool``.  The group runner and the service's warm
+    path both call this, so their answers are byte-identical.
+    """
+    approach = point.approach.build()
+    approach.bind_scheduler_pool(pool)
+    simulator = SystemSimulator(
+        workload=workload,
+        platform=platform,
+        approach=approach,
+        config=point.config(),
+        replacement=point.approach.build_replacement(),
+        design_result=design,
+    )
+    return simulator.run().metrics
 
 
 def run_group(points: Sequence[SweepPoint],
@@ -261,20 +283,9 @@ def _run_group_points(points: Sequence[SweepPoint], head: SweepPoint,
         _TT_BINDING_DEPTH += 1
         scheduler_pool.attach_tt_store(tt_store)
     design.attach_tt_store(tt_store)
-    metrics: List[SimulationMetrics] = []
     try:
-        for point in points:
-            approach = point.approach.build()
-            approach.bind_scheduler_pool(scheduler_pool)
-            simulator = SystemSimulator(
-                workload=workload,
-                platform=platform,
-                approach=approach,
-                config=point.config(),
-                replacement=point.approach.build_replacement(),
-                design_result=design,
-            )
-            metrics.append(simulator.run().metrics)
+        return [simulate_point(point, workload, platform, design,
+                               scheduler_pool) for point in points]
     finally:
         if tt_store is not None:
             scheduler_pool.flush()
@@ -291,7 +302,6 @@ def _run_group_points(points: Sequence[SweepPoint], head: SweepPoint,
             if _TT_BINDING_DEPTH == 0:
                 scheduler_pool.attach_tt_store(_TT_OUTER_STORE)
                 _TT_OUTER_STORE = None
-    return metrics
 
 
 def _run_group_item(item: Tuple[Sequence[SweepPoint], Optional[GroupClaim]],
@@ -428,11 +438,7 @@ class SweepResult:
                     workload: Optional[Union[str, WorkloadSpec]] = None,
                     seed: Optional[int] = None
                     ) -> Dict[str, Dict[int, SimulationMetrics]]:
-        """``{approach label: {tile count: metrics}}`` view of the sweep.
-
-        This is the shape :func:`repro.sim.simulator.sweep_tile_counts`
-        has always returned.
-        """
+        """``{approach label: {tile count: metrics}}`` view of the sweep."""
         table: Dict[str, Dict[int, SimulationMetrics]] = {}
         for outcome in self.select(workload=workload, seed=seed):
             label = outcome.point.approach.label

@@ -21,7 +21,9 @@ importing the package afresh); approaches resolve through
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -39,10 +41,8 @@ Options = Tuple[Tuple[str, object], ...]
 #: Bump when the meaning of a point (and therefore of a cache key) changes.
 SPEC_FORMAT_VERSION = 1
 
-#: Deprecated alias of the registry's live name -> factory view; kept so
-#: existing imports keep resolving.  Register new families with
-#: :func:`repro.workloads.registry.register_workload` instead.
-WORKLOAD_FACTORIES = workload_registry.WORKLOAD_FACTORIES
+#: Constructor signatures, memoized: services build a spec per request.
+_signature = functools.lru_cache(maxsize=None)(inspect.signature)
 
 
 def _freeze_options(options: Mapping[str, object]) -> Options:
@@ -119,7 +119,7 @@ def workload_spec_for(workload: Workload) -> Optional[WorkloadSpec]:
     :meth:`~repro.workloads.base.Workload.spec_options`, and those become
     the spec (and therefore the cache key).  Subclasses — which may
     override behaviour the options cannot name — and unregistered classes
-    return ``None``, and callers fall back to direct execution.
+    return ``None``.
     """
     resolved = workload_registry.spec_for_instance(workload)
     if resolved is None:
@@ -162,6 +162,14 @@ class ApproachSpec:
                 f"unknown scheduling approach {self.name!r}; available: "
                 f"{sorted(APPROACHES)}"
             )
+        # Options the constructor does not take fail here, before the
+        # spec can become a cache key or reach a worker process.
+        try:
+            _signature(APPROACHES[self.name]).bind(**dict(self.options))
+        except TypeError as exc:
+            raise ConfigurationError(
+                f"bad options for approach {self.name!r}: {exc}"
+            ) from None
 
     @property
     def label(self) -> str:

@@ -56,7 +56,9 @@ SIGTERM/SIGINT, then flushes every warm table and exits 0.
 
 Protocol
 --------
-JSON over HTTP; every response body is a JSON object.  Errors are
+JSON over HTTP; every response body is a JSON object.  Request bodies
+must be strict JSON: ``NaN``, ``Infinity``, ``-Infinity`` and numbers
+too large for a float get a 400.  Errors are
 ``{"error": "..."}`` with status 400 (bad request), 404 (unknown
 endpoint), 429 (shed; plus ``"retry_after"`` and a ``Retry-After``
 header) or 500.  Responses answered from another request's in-flight
@@ -75,24 +77,25 @@ the peer's delayed ACK.
     ``{"status": "ok", "pending": N}``.
 
 ``GET /metrics``
-    Per-endpoint request/error/shed/dedup counters and nearest-rank
-    p50/p95/p99 latencies, warm-state counters (pool hits/misses,
-    warm-table answers, resident explorations, cache traffic) and the
-    admission gate's state.  See :mod:`repro.service.metrics`.  The
-    latencies time :meth:`ReproService.handle` alone, so HTTP parsing,
-    socket writes and TCP delays never show in them.  Before the daemon
-    set ``TCP_NODELAY`` they read ~1 ms while keep-alive clients waited
-    ~44 ms per answer; time transport from the client side.
+    Per-endpoint request/error/shed/dedup/cache-hit counters and
+    nearest-rank p50/p95/p99 latencies, warm-state counters (exploration
+    and schedule LRU hits, pool hits/misses, warm-table answers, cache
+    traffic) and the admission gate's state.  See
+    :mod:`repro.service.metrics`.  The latencies time
+    :meth:`ReproService.handle` alone, so HTTP parsing, socket writes and
+    TCP delays never show in them.  Before the daemon set ``TCP_NODELAY``
+    they read ~1 ms while keep-alive clients waited ~44 ms per answer;
+    time transport from the client side.
 
 ``POST /schedule``
     Solve one prefetch-scheduling problem on a warm engine.  Payload:
     ``{"task": NAME, "tile_count": N, "latency": MS,
-    "reused": [SUBTASK, ...]}`` — ``task`` names a benchmark graph from
-    :data:`~repro.service.state.TASK_GRAPHS`; ``reused`` lists already
-    resident subtasks (the ``with_reused`` ladder).  Response carries
-    ``makespan``, ``ideal_makespan``, ``overhead``, ``overhead_percent``,
-    ``load_order``, ``load_count``, ``hidden_load_fraction``,
-    ``scheduler`` and the search's ``stats``.
+    "reused": [SUBTASK, ...]}`` — ``task`` is one of
+    :func:`repro.workloads.registry.task_graph_names`; ``reused`` lists
+    already resident subtasks (the ``with_reused`` ladder).  Response
+    carries ``makespan``, ``ideal_makespan``, ``overhead``,
+    ``overhead_percent``, ``load_order``, ``load_count``,
+    ``hidden_load_fraction``, ``scheduler`` and the search's ``stats``.
 
 ``POST /simulate``
     Run (or replay from cache) one sweep point.  Payload fields mirror
@@ -135,7 +138,6 @@ from .server import (
 from .state import (
     DEFAULT_MAX_EXPLORATIONS,
     DEFAULT_MAX_PENDING,
-    TASK_GRAPHS,
     ServiceState,
 )
 
@@ -153,7 +155,6 @@ __all__ = [
     "ServiceOverloaded",
     "ServiceRequestError",
     "ServiceState",
-    "TASK_GRAPHS",
     "point_from_payload",
     "request_key",
     "serve",

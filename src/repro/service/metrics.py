@@ -46,7 +46,6 @@ class EndpointStats:
         self.errors = 0
         self.shed = 0
         self.dedup_hits = 0
-        self.batch_hits = 0
         self.cache_hits = 0
         self.computed = 0
         self.latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
@@ -58,7 +57,6 @@ class EndpointStats:
             "errors": self.errors,
             "shed": self.shed,
             "dedup_hits": self.dedup_hits,
-            "batch_hits": self.batch_hits,
             "cache_hits": self.cache_hits,
             "computed": self.computed,
             "latency_samples": len(self.latencies),
@@ -99,10 +97,6 @@ class ServiceMetrics:
     def count_dedup_hit(self, endpoint: str) -> None:
         with self._lock:
             self._endpoint(endpoint).dedup_hits += 1
-
-    def count_batch_hit(self, endpoint: str) -> None:
-        with self._lock:
-            self._endpoint(endpoint).batch_hits += 1
 
     def count_cache_hit(self, endpoint: str) -> None:
         with self._lock:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import signal
 import threading
 import time
@@ -154,6 +155,15 @@ def point_from_payload(payload: Dict[str, object]) -> SweepPoint:
         )
     except (TypeError, ValueError) as exc:
         raise BadRequest(f"bad simulate payload: {exc}")
+
+
+def _finite_number(text: str) -> float:
+    """JSON number hook refusing ``NaN``, ``Infinity`` and overflow, which
+    ``json.loads`` accepts and every ``x < 0`` range check lets through."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
 
 
 def _float_list(value: object, what: str) -> List[float]:
@@ -473,7 +483,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length) if length else b""
         if raw:
             try:
-                payload = json.loads(raw.decode("utf-8"))
+                payload = json.loads(raw.decode("utf-8"),
+                                     parse_constant=_finite_number,
+                                     parse_float=_finite_number)
             except (UnicodeDecodeError, ValueError):
                 self._respond(400, {"error": "request body is not JSON"})
                 return

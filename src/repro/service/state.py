@@ -48,10 +48,9 @@ from typing import Dict, Optional, Tuple, Union
 
 from ..platform.description import Platform
 from ..runner.cache import ResultCache
-from ..runner.engine import explore_platform
+from ..runner.engine import explore_platform, simulate_point
 from ..runner.spec import SweepPoint, WorkloadSpec
 from ..sim.metrics import SimulationMetrics
-from ..sim.simulator import SystemSimulator
 from ..scheduling.list_scheduler import build_initial_schedule
 from ..scheduling.pool import SchedulerPool
 from ..scheduling.schedule import PlacedSchedule
@@ -60,12 +59,6 @@ from ..tcm.design_time import TcmDesignTimeResult
 from ..workloads import registry as workload_registry
 from ..workloads.base import Workload
 from .errors import BadRequest, ServiceOverloaded
-
-#: Deprecated alias of the unified workload registry's task-graph view
-#: (``/schedule`` requests and the ``repro demo`` sub-command resolve
-#: names through it).  Register new graphs with
-#: :func:`repro.workloads.registry.register_task_graph` instead.
-TASK_GRAPHS = workload_registry.TASK_GRAPHS
 
 #: Requests allowed to wait on the compute lock before shedding starts.
 DEFAULT_MAX_PENDING = 8
@@ -129,11 +122,8 @@ class ServiceState:
 
         self._pending = 0
         self.shed_count = 0
-        #: Sum of every resident-LRU hit (back-compat aggregate of the
-        #: two split counters below).
-        self.batch_hits = 0
-        #: Resident-exploration LRU hits/builds, split out so per-stream
-        #: trace runs can report an exploration-LRU hit rate.
+        #: Resident-exploration LRU hits/builds (per-stream trace runs
+        #: report an exploration-LRU hit rate from them).
         self.exploration_lru_hits = 0
         self.exploration_builds = 0
         #: Resident placed-schedule LRU hits (the ``/schedule`` path).
@@ -191,7 +181,6 @@ class ServiceState:
             trio = self._explorations.get(key)
             if trio is not None:
                 self._explorations.move_to_end(key)
-                self.batch_hits += 1
                 self.exploration_lru_hits += 1
                 return trio
         built = explore_platform(workload_spec, tile_count,
@@ -234,7 +223,6 @@ class ServiceState:
             placed = self._schedules.get(key)
             if placed is not None:
                 self._schedules.move_to_end(key)
-                self.batch_hits += 1
                 self.schedule_lru_hits += 1
                 return placed
         graph = workload_registry.build_task_graph(task)
@@ -250,7 +238,7 @@ class ServiceState:
         return placed
 
     # ------------------------------------------------------------------ #
-    # The warm simulate path (mirrors the sweep engine's group runner)
+    # The warm simulate path (the sweep engine's per-point step)
     # ------------------------------------------------------------------ #
     def load_cached(self, point: SweepPoint) -> Optional[SimulationMetrics]:
         """The memoized result of ``point``, if a cache holds one."""
@@ -265,26 +253,16 @@ class ServiceState:
     def simulate_point(self, point: SweepPoint) -> SimulationMetrics:
         """Run one sweep point on the warm state (compute lock held).
 
-        Step for step the body of
-        :func:`repro.runner.engine._run_group_points` — shared
-        exploration, fresh approach bound to the shared scheduler pool,
-        then one :class:`~repro.sim.simulator.SystemSimulator` run — so a
-        service answer is byte-identical to a CLI sweep of the same
-        point (warm pool tables only prune, they never answer).
+        The resident exploration and the shared scheduler pool go through
+        :func:`repro.runner.engine.simulate_point`, the sweep engine's own
+        per-point step, so a service answer is byte-identical to a CLI
+        sweep of the same point (warm pool tables only prune, they never
+        answer).
         """
         workload, platform, design = self.exploration_for(point.workload,
                                                           point.tile_count)
-        approach = point.approach.build()
-        approach.bind_scheduler_pool(self.scheduler_pool)
-        simulator = SystemSimulator(
-            workload=workload,
-            platform=platform,
-            approach=approach,
-            config=point.config(),
-            replacement=point.approach.build_replacement(),
-            design_result=design,
-        )
-        metrics = simulator.run().metrics
+        metrics = simulate_point(point, workload, platform, design,
+                                 self.scheduler_pool)
         with self._lock:
             self.simulations += 1
         if self.result_cache is not None:
@@ -305,7 +283,6 @@ class ServiceState:
             exploration_lookups = (self.exploration_lru_hits
                                    + self.exploration_builds)
             snapshot = {
-                "batch_hits": self.batch_hits,
                 "exploration_lru_hits": self.exploration_lru_hits,
                 "exploration_builds": self.exploration_builds,
                 "exploration_lru_hit_rate": (

@@ -11,6 +11,7 @@ from .approaches import (
     SchedulingApproach,
     TaskContext,
     TaskOutcome,
+    TaskSchedule,
     make_approach,
 )
 from .metrics import (
@@ -32,7 +33,6 @@ from .simulator import (
     SimulationResult,
     SystemSimulator,
     simulate,
-    sweep_tile_counts,
 )
 from .state import SystemState
 from .trace import SimulationTrace, render_gantt
@@ -60,11 +60,11 @@ __all__ = [
     "TaskExecutionRecord",
     "TaskOutcome",
     "TaskPlan",
+    "TaskSchedule",
     "aggregate_metrics",
     "apply_realization",
     "make_approach",
     "realize_task",
     "render_gantt",
     "simulate",
-    "sweep_tile_counts",
 ]

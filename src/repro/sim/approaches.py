@@ -35,19 +35,30 @@ approaches; each is implemented here behind the common
     a lookback window of task executions — the approach built to survive
     the stochastic perturbation layer.
 
-Every approach hands the simulator a :class:`~repro.sim.noise.TaskPlan`
-alongside its planned record, so the perturbation layer can re-time the
-plan under noise; the :meth:`SchedulingApproach.observe` hook feeds the
-realized records back (the adaptive controller's input, a no-op for the
-paper's five approaches).
+One pipeline, pluggable policies
+--------------------------------
+The approaches differ only in policy.  :meth:`SchedulingApproach.execute_task`
+is the one execute pipeline: for every approach it applies the task to the
+shared :class:`~repro.sim.state.SystemState`, computes when the
+reconfiguration port is free again, asks for the inter-task plan and builds
+the :class:`~repro.sim.metrics.TaskExecutionRecord` and the
+:class:`~repro.sim.noise.TaskPlan` the perturbation layer re-times under
+noise.  Each approach supplies two hooks:
+:meth:`~SchedulingApproach.schedule_task` returns this task's
+:class:`TaskSchedule` (reuse analysis and load schedule), and
+:meth:`~SchedulingApproach.prefetch_next` returns the inter-task plan for
+the following task, or ``None``.  :meth:`SchedulingApproach.observe` feeds
+the realized records back (the adaptive controller's input, a no-op for
+the paper's five approaches).
 """
 
 from __future__ import annotations
 
 import abc
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..core.hybrid import HybridPrefetchHeuristic
 from ..core.intertask import (
@@ -58,15 +69,15 @@ from ..core.intertask import (
 )
 from ..core.store import DesignTimeStore
 from ..errors import ConfigurationError
-from ..platform.description import Platform
+from ..graphs.taskgraph import TaskGraph
 from ..reuse.reuse import ReuseDecision, ReuseModule
-from ..scheduling.base import PrefetchProblem
+from ..scheduling.base import PrefetchProblem, PrefetchScheduler
 from ..scheduling.evaluator import replay_schedule
 from ..scheduling.noprefetch import OnDemandScheduler
 from ..scheduling.pool import SchedulerPool
 from ..scheduling.prefetch_bb import OptimalPrefetchScheduler
 from ..scheduling.prefetch_list import ListPrefetchScheduler
-from ..scheduling.schedule import ExecutionEntry, PlacedSchedule, ResourceId
+from ..scheduling.schedule import ExecutionEntry, LoadEntry, PlacedSchedule
 from ..tcm.design_time import TcmDesignTimeResult
 from ..tcm.run_time import ScheduledTask
 from .metrics import TaskExecutionRecord
@@ -94,10 +105,43 @@ class TaskContext:
         """Placed schedule of the selected Pareto point."""
         return self.scheduled.point.placed
 
-    @property
-    def platform(self) -> Platform:
-        """Platform the simulation runs on."""
-        return self.state.platform
+
+@dataclass(frozen=True)
+class TaskSchedule:
+    """One approach's policy decisions for one task execution.
+
+    ``decision`` binds the logical tiles, and its ``reused`` set is what
+    the record counts as reused; ``reused`` holds the subtasks that skip
+    their load when the task is applied to the platform state; ``loads``
+    holds every load, the hybrid's initialization loads included.
+    """
+
+    placed: PlacedSchedule
+    decision: ReuseDecision
+    reused: FrozenSet[str]
+    executions: Mapping[str, ExecutionEntry]
+    makespan: float
+    loads: Tuple[LoadEntry, ...]
+    scheduler_operations: int = 0
+    loads_cancelled: int = 0
+    initialization_loads: int = 0
+
+    def tile_availability(self, ctx: TaskContext) -> Dict[int, float]:
+        """When every physical tile may take an inter-task load.
+
+        A tile the task uses is free once its last subtask finishes; any
+        other tile once it is idle, but not before the task's release.
+        """
+        releases: Dict[int, float] = {}
+        for logical, physical in self.decision.tile_binding.items():
+            if logical.is_tile:
+                releases[physical] = max(
+                    self.executions[name].finish
+                    for name in self.placed.resource_order(logical)
+                )
+        return {tile.index: releases.get(
+                    tile.index, max(ctx.release_time, tile.busy_until))
+                for tile in ctx.state.tiles}
 
 
 @dataclass(frozen=True)
@@ -105,15 +149,13 @@ class TaskOutcome:
     """Result of executing one task instance.
 
     ``plan`` carries the planned execution (placement, loads, inter-task
-    prefetches) for the stochastic perturbation layer; it is required when
-    the simulator runs with a non-null
-    :class:`~repro.sim.noise.PerturbationConfig`.
+    prefetches) for the stochastic perturbation layer.
     """
 
     record: TaskExecutionRecord
     finish_time: float
     controller_free: float
-    plan: Optional[TaskPlan] = None
+    plan: TaskPlan
 
 
 class SchedulingApproach(abc.ABC):
@@ -121,8 +163,6 @@ class SchedulingApproach(abc.ABC):
 
     #: Name used in experiment tables (matches the paper's terminology).
     name: str = "approach"
-    #: Whether the approach exploits run-time configuration reuse.
-    uses_reuse: bool = True
     #: Whether the approach prefetches for the next task in the sequence.
     uses_intertask: bool = False
     #: Warm branch-and-bound engine pool bound by the execution driver
@@ -145,8 +185,71 @@ class SchedulingApproach(abc.ABC):
         """Perform the approach's design-time work (default: nothing)."""
 
     @abc.abstractmethod
+    def schedule_task(self, ctx: TaskContext) -> TaskSchedule:
+        """Policy hook: reuse analysis and load schedule of this task."""
+
+    def prefetch_next(self, ctx: TaskContext, schedule: TaskSchedule,
+                      controller_free: float) -> Optional[InterTaskPlan]:
+        """Policy hook: inter-task prefetch loads for ``ctx.next_scheduled``.
+
+        Called only when another task follows, after ``schedule`` was
+        applied to the platform state; ``controller_free`` is when the
+        port finishes this task's loads.  The default prefetches nothing.
+        """
+        return None
+
     def execute_task(self, ctx: TaskContext) -> TaskOutcome:
         """Execute one task instance and update the shared platform state."""
+        schedule = self.schedule_task(ctx)
+        placed = schedule.placed
+        loads = schedule.loads
+        decision = schedule.decision
+        ctx.state.apply_task_execution(
+            placed, decision.tile_binding, schedule.reused,
+            schedule.executions,
+            {load.subtask: load.finish for load in loads},
+        )
+        controller_free = max(ctx.state.controller_free,
+                              max((load.finish for load in loads),
+                                  default=ctx.release_time))
+        intertask = (self.prefetch_next(ctx, schedule, controller_free)
+                     if ctx.next_scheduled is not None else None)
+        intertask_loads = intertask.loads if intertask is not None else ()
+        for load in intertask_loads:
+            ctx.state.record_load(load.tile, load.configuration, load.finish)
+        if intertask is not None:
+            controller_free = max(controller_free, intertask.controller_free)
+        record = TaskExecutionRecord(
+            task_name=ctx.scheduled.task_name,
+            scenario_name=ctx.scheduled.scenario_name,
+            point_key=ctx.scheduled.point_key,
+            release_time=ctx.release_time,
+            finish_time=schedule.makespan,
+            ideal_makespan=placed.makespan,
+            overhead=max(0.0, schedule.makespan - ctx.release_time
+                         - placed.makespan),
+            loads_performed=len(loads),
+            loads_reused=len(decision.reused),
+            loads_cancelled=schedule.loads_cancelled,
+            initialization_loads=schedule.initialization_loads,
+            intertask_prefetches=len(intertask_loads),
+            scheduler_operations=schedule.scheduler_operations,
+            reuse_operations=decision.operations,
+            energy=ctx.state.platform.energy.task_energy(
+                loads=len(loads),
+                busy_time=placed.graph.total_execution_time,
+            ),
+        )
+        plan = TaskPlan(
+            placed=placed,
+            tile_binding=dict(decision.tile_binding),
+            reused=schedule.reused,
+            executions=dict(schedule.executions),
+            loads=loads,
+            intertask_loads=intertask_loads,
+        )
+        return TaskOutcome(record=record, finish_time=schedule.makespan,
+                           controller_free=controller_free, plan=plan)
 
     def observe(self, record: TaskExecutionRecord) -> None:
         """Feedback hook: the *realized* record of a finished task.
@@ -161,127 +264,83 @@ class SchedulingApproach(abc.ABC):
     # Shared helpers
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _tile_release_times(placed: PlacedSchedule,
-                            binding: Mapping[ResourceId, int],
-                            executions: Mapping[str, ExecutionEntry]
-                            ) -> Dict[int, float]:
-        """Time at which the current task stops using every bound tile."""
-        releases: Dict[int, float] = {}
-        for logical, physical in binding.items():
-            if not logical.is_tile:
-                continue
-            last = max(executions[name].finish
-                       for name in placed.resource_order(logical))
-            releases[physical] = last
-        return releases
+    def _schedule_with(scheduler: PrefetchScheduler, ctx: TaskContext,
+                       decision: ReuseDecision) -> TaskSchedule:
+        """Let ``scheduler`` place the loads ``decision`` does not reuse."""
+        result = scheduler.schedule(PrefetchProblem(
+            placed=ctx.placed,
+            reconfiguration_latency=ctx.reconfiguration_latency,
+            reused=decision.reused,
+            release_time=ctx.release_time,
+            controller_available=ctx.state.controller_free,
+        ))
+        return TaskSchedule(
+            placed=ctx.placed,
+            decision=decision,
+            reused=decision.reused,
+            executions=result.timed.executions,
+            makespan=result.timed.makespan,
+            loads=result.timed.loads,
+            scheduler_operations=result.stats.operations,
+        )
 
-    def _intertask_windows(self, ctx: TaskContext,
-                           tile_releases: Mapping[int, float],
-                           requested_configurations: Iterable[str],
-                           avoid_configurations: Iterable[str] = (),
-                           needed: int = 0) -> List[TileWindow]:
-        """Tiles that may receive inter-task prefetch loads.
+    def _plan_intertask(self, ctx: TaskContext, schedule: TaskSchedule,
+                        requests: Sequence[PrefetchRequest],
+                        controller_free: float,
+                        avoid_configurations: Iterable[str] = ()
+                        ) -> InterTaskPlan:
+        """Plan inter-task prefetch loads into the idle tail of ``schedule``.
 
         Tiles already holding a requested configuration are never offered
         (overwriting them would destroy the very reuse the prefetch is
         after).  Tiles holding an ``avoid_configurations`` member (e.g. a
         critical configuration of some other task) are only offered when
-        fewer than ``needed`` unencumbered tiles exist.
+        fewer unencumbered tiles exist than requests left to load.
         """
-        requested = set(requested_configurations)
-        avoid = set(avoid_configurations)
-        preferred: List[TileWindow] = []
-        fallback: List[TileWindow] = []
-        for tile in ctx.state.tiles:
-            resident = tile.configuration
-            if resident is not None and resident in requested:
-                continue
-            available = tile_releases.get(
-                tile.index, max(ctx.release_time, tile.busy_until)
-            )
-            window = TileWindow(tile=tile.index, available_from=available,
-                                resident_configuration=resident)
-            if resident is not None and resident in avoid:
-                fallback.append(window)
-            else:
-                preferred.append(window)
-        if len(preferred) >= needed:
-            return preferred
-        return preferred + fallback
-
-    def _plan_intertask(self, ctx: TaskContext,
-                        requests: Sequence[PrefetchRequest],
-                        tile_releases: Mapping[int, float],
-                        controller_free: float,
-                        task_finish: float,
-                        avoid_configurations: Iterable[str] = ()
-                        ) -> InterTaskPlan:
-        """Plan and apply inter-task prefetch loads into the idle tail."""
-        if not requests:
-            return InterTaskPlan(loads=(), controller_free=controller_free)
+        requested = {request.configuration for request in requests}
         resident = {tile.configuration for tile in ctx.state.tiles
                     if tile.configuration is not None}
         pending = [request for request in requests
                    if request.configuration not in resident]
-        windows = self._intertask_windows(
-            ctx, tile_releases,
-            (request.configuration for request in requests),
-            avoid_configurations=avoid_configurations,
-            needed=len(pending),
-        )
-        plan = plan_intertask_prefetch(
+        avoid = set(avoid_configurations)
+        available = schedule.tile_availability(ctx)
+        windows: List[TileWindow] = []
+        fallback: List[TileWindow] = []
+        for tile in ctx.state.tiles:
+            held = tile.configuration
+            if held is not None and held in requested:
+                continue
+            window = TileWindow(tile=tile.index,
+                                available_from=available[tile.index],
+                                resident_configuration=held)
+            if held is not None and held in avoid:
+                fallback.append(window)
+            else:
+                windows.append(window)
+        if len(windows) < len(pending):
+            windows += fallback
+        return plan_intertask_prefetch(
             requests=pending,
             tiles=windows,
             controller_free=controller_free,
-            task_finish=task_finish,
+            task_finish=schedule.makespan,
             reconfiguration_latency=ctx.reconfiguration_latency,
             allow_overrun=False,
         )
-        for load in plan.loads:
-            ctx.state.record_load(load.tile, load.configuration, load.finish)
-        return plan
 
-    @staticmethod
-    def _energy(platform: Platform, loads: int, placed: PlacedSchedule) -> float:
-        """Energy estimate of one task execution."""
-        return platform.energy.task_energy(
-            loads=loads,
-            busy_time=placed.graph.total_execution_time,
-        )
 
-    @staticmethod
-    def _load_finish_times(*load_groups) -> Dict[str, float]:
-        """Merge load entries into a {subtask: completion time} mapping."""
-        finish: Dict[str, float] = {}
-        for group in load_groups:
-            for load in group:
-                finish[load.subtask] = load.finish
-        return finish
+def _point_key(scheduled: ScheduledTask) -> Tuple[str, str, str]:
+    """(task, scenario, Pareto point) identity of a scheduled task."""
+    return (scheduled.task_name, scheduled.scenario_name,
+            scheduled.point_key)
 
-    def _make_record(self, ctx: TaskContext, *, finish_time: float,
-                     overhead: float, loads_performed: int, loads_reused: int,
-                     loads_cancelled: int = 0, initialization_loads: int = 0,
-                     intertask_prefetches: int = 0,
-                     scheduler_operations: int = 0,
-                     reuse_operations: int = 0) -> TaskExecutionRecord:
-        placed = ctx.placed
-        return TaskExecutionRecord(
-            task_name=ctx.scheduled.task_name,
-            scenario_name=ctx.scheduled.scenario_name,
-            point_key=ctx.scheduled.point_key,
-            release_time=ctx.release_time,
-            finish_time=finish_time,
-            ideal_makespan=placed.makespan,
-            overhead=overhead,
-            loads_performed=loads_performed,
-            loads_reused=loads_reused,
-            loads_cancelled=loads_cancelled,
-            initialization_loads=initialization_loads,
-            intertask_prefetches=intertask_prefetches,
-            scheduler_operations=scheduler_operations,
-            reuse_operations=reuse_operations,
-            energy=self._energy(ctx.platform, loads_performed, placed),
-        )
+
+def _requests(graph: TaskGraph,
+              subtasks: Iterable[str]) -> List[PrefetchRequest]:
+    """Inter-task prefetch requests for ``subtasks`` of ``graph``, in order."""
+    return [PrefetchRequest(subtask=name,
+                            configuration=graph.subtask(name).configuration)
+            for name in subtasks]
 
 
 # ---------------------------------------------------------------------- #
@@ -291,51 +350,14 @@ class NoPrefetchApproach(SchedulingApproach):
     """On-demand loading without any prefetch module (first baseline)."""
 
     name = "no-prefetch"
-    uses_reuse = True
 
-    def __init__(self, use_reuse: bool = True) -> None:
+    def __init__(self) -> None:
         self._scheduler = OnDemandScheduler()
-        self.uses_reuse = use_reuse
 
-    def execute_task(self, ctx: TaskContext) -> TaskOutcome:
-        placed = ctx.placed
-        decision = ctx.reuse_module.analyze(placed, ctx.state.tiles,
+    def schedule_task(self, ctx: TaskContext) -> TaskSchedule:
+        decision = ctx.reuse_module.analyze(ctx.placed, ctx.state.tiles,
                                             now=ctx.release_time)
-        reused = decision.reused if self.uses_reuse else frozenset()
-        problem = PrefetchProblem(
-            placed=placed,
-            reconfiguration_latency=ctx.reconfiguration_latency,
-            reused=reused,
-            release_time=ctx.release_time,
-            controller_available=ctx.state.controller_free,
-        )
-        result = self._scheduler.schedule(problem)
-        ctx.state.apply_task_execution(
-            placed, decision.tile_binding, reused,
-            result.timed.executions,
-            self._load_finish_times(result.timed.loads),
-        )
-        record = self._make_record(
-            ctx,
-            finish_time=result.timed.makespan,
-            overhead=result.overhead,
-            loads_performed=result.load_count,
-            loads_reused=len(reused),
-            scheduler_operations=result.stats.operations,
-            reuse_operations=decision.operations,
-        )
-        controller_free = max(ctx.state.controller_free,
-                              max((load.finish for load in result.timed.loads),
-                                  default=ctx.release_time))
-        plan = TaskPlan(
-            placed=placed,
-            tile_binding=dict(decision.tile_binding),
-            reused=frozenset(reused),
-            executions=dict(result.timed.executions),
-            loads=tuple(result.timed.loads),
-        )
-        return TaskOutcome(record=record, finish_time=result.timed.makespan,
-                           controller_free=controller_free, plan=plan)
+        return self._schedule_with(self._scheduler, ctx, decision)
 
 
 class DesignTimePrefetchApproach(SchedulingApproach):
@@ -357,12 +379,10 @@ class DesignTimePrefetchApproach(SchedulingApproach):
     """
 
     name = "design-time"
-    uses_reuse = False
 
     def __init__(self, static_intertask: bool = False) -> None:
         self._orders: Dict[Tuple[str, str, str], Tuple[str, ...]] = {}
         self._scheduler = OptimalPrefetchScheduler()
-        self.static_intertask = static_intertask
         self.uses_intertask = static_intertask
         self._pending_prefetched: Dict[Tuple[str, str, str], frozenset] = {}
 
@@ -378,27 +398,25 @@ class DesignTimePrefetchApproach(SchedulingApproach):
                                 if self.scheduler_pool is not None
                                 else design_result.scheduler_pool)
         for task_name, scenario_name, point_key, placed in design_result.schedules():
-            problem = PrefetchProblem(
+            result = self._scheduler.schedule(PrefetchProblem(
                 placed=placed,
                 reconfiguration_latency=reconfiguration_latency,
-            )
-            result = self._scheduler.schedule(problem)
+            ))
             self._orders[(task_name, scenario_name, point_key)] = (
                 result.load_order
             )
 
-    def execute_task(self, ctx: TaskContext) -> TaskOutcome:
+    def schedule_task(self, ctx: TaskContext) -> TaskSchedule:
         placed = ctx.placed
-        key = (ctx.scheduled.task_name, ctx.scheduled.scenario_name,
-               ctx.scheduled.point_key)
+        key = _point_key(ctx.scheduled)
         try:
             order = self._orders[key]
         except KeyError as exc:
             raise ConfigurationError(
                 f"design-time prefetch approach was not prepared for {key}"
             ) from exc
-        claimed = self._pending_prefetched.pop(key, frozenset())
-        if claimed:
+        prefetched = self._pending_prefetched.pop(key, frozenset())
+        if prefetched:
             # Tolerate stale static plans: a prefetch recorded last task may
             # have been abandoned or faulted away under the perturbation
             # layer, so only configurations actually resident count —
@@ -409,101 +427,56 @@ class DesignTimePrefetchApproach(SchedulingApproach):
                         if tile.configuration is not None}
             graph = placed.graph
             prefetched = frozenset(
-                name for name in claimed
+                name for name in prefetched
                 if graph.subtask(name).configuration in resident
             )
-        else:
-            prefetched = claimed
-        loads_needed = [name for name in placed.drhw_names
-                        if name not in prefetched]
         decision = ctx.reuse_module.analyze(placed, ctx.state.tiles,
                                             now=ctx.release_time)
         timed = replay_schedule(
             placed,
             ctx.reconfiguration_latency,
-            loads_needed,
+            [name for name in placed.drhw_names if name not in prefetched],
             priority_order=order,
             release_time=ctx.release_time,
             controller_available=ctx.state.controller_free,
         )
-        ctx.state.apply_task_execution(
-            placed, decision.tile_binding, prefetched,
-            timed.executions, self._load_finish_times(timed.loads),
-        )
-        controller_free = max(ctx.state.controller_free,
-                              max((load.finish for load in timed.loads),
-                                  default=ctx.release_time))
-        intertask_loads: Tuple = ()
-        if (self.static_intertask and ctx.next_scheduled is not None
-                and not ctx.next_crosses_iteration):
-            intertask_plan = self._statically_prefetch_next(
-                ctx, decision, timed, controller_free
-            )
-            intertask_loads = intertask_plan.loads
-            controller_free = max(ctx.state.controller_free, controller_free)
-        record = self._make_record(
-            ctx,
-            finish_time=timed.makespan,
-            overhead=timed.overhead,
-            loads_performed=timed.load_count,
-            loads_reused=0,
-            intertask_prefetches=len(intertask_loads),
-            scheduler_operations=0,
-            reuse_operations=decision.operations,
-        )
-        plan = TaskPlan(
+        return TaskSchedule(
             placed=placed,
-            tile_binding=dict(decision.tile_binding),
+            # Frozen design-time decisions never exploit resident
+            # configurations: the reuse analysis only binds the tiles.
+            decision=replace(decision, reused=frozenset()),
             reused=prefetched,
-            executions=dict(timed.executions),
-            loads=tuple(timed.loads),
-            intertask_loads=tuple(intertask_loads),
+            executions=timed.executions,
+            makespan=timed.makespan,
+            loads=timed.loads,
         )
-        return TaskOutcome(record=record, finish_time=timed.makespan,
-                           controller_free=max(ctx.state.controller_free,
-                                               controller_free),
-                           plan=plan)
 
-    # ------------------------------------------------------------------ #
-    def _statically_prefetch_next(self, ctx: TaskContext, decision,
-                                  timed, controller_free: float
-                                  ) -> InterTaskPlan:
-        """Schedule loads of the next task into the current idle tail."""
-        next_key = (ctx.next_scheduled.task_name,
-                    ctx.next_scheduled.scenario_name,
-                    ctx.next_scheduled.point_key)
+    def prefetch_next(self, ctx: TaskContext, schedule: TaskSchedule,
+                      controller_free: float) -> Optional[InterTaskPlan]:
+        """Schedule loads of the next task into the current idle tail.
+
+        The static plan knows no tile contents, so every tile is offered
+        as a blank window once the current task releases it.
+        """
+        if not self.uses_intertask or ctx.next_crosses_iteration:
+            return None
+        next_key = _point_key(ctx.next_scheduled)
         next_order = self._orders.get(next_key)
         if not next_order:
-            return InterTaskPlan(loads=(), controller_free=controller_free)
-        next_graph = ctx.next_scheduled.point.placed.graph
-        requests = [
-            PrefetchRequest(subtask=name,
-                            configuration=next_graph.subtask(name).configuration)
-            for name in next_order
-        ]
-        tile_releases = self._tile_release_times(
-            ctx.placed, decision.tile_binding, timed.executions
-        )
-        windows = [
-            TileWindow(
-                tile=tile.index,
-                available_from=tile_releases.get(
-                    tile.index, max(ctx.release_time, tile.busy_until)
-                ),
-                resident_configuration=None,
-            )
-            for tile in ctx.state.tiles
-        ]
+            return None
+        windows = [TileWindow(tile=tile, available_from=available,
+                              resident_configuration=None)
+                   for tile, available
+                   in schedule.tile_availability(ctx).items()]
         plan = plan_intertask_prefetch(
-            requests=requests,
+            requests=_requests(ctx.next_scheduled.point.placed.graph,
+                               next_order),
             tiles=windows,
             controller_free=controller_free,
-            task_finish=timed.makespan,
+            task_finish=schedule.makespan,
             reconfiguration_latency=ctx.reconfiguration_latency,
             allow_overrun=False,
         )
-        for load in plan.loads:
-            ctx.state.record_load(load.tile, load.configuration, load.finish)
         self._pending_prefetched[next_key] = frozenset(plan.prefetched_subtasks)
         return plan
 
@@ -515,96 +488,37 @@ class RunTimeApproach(SchedulingApproach):
     """Fully run-time list-scheduling prefetch with reuse (ref. [7])."""
 
     name = "run-time"
-    uses_reuse = True
-    uses_intertask = False
 
-    def __init__(self, priority: str = "ideal-start") -> None:
-        self._scheduler = ListPrefetchScheduler(priority)
+    def __init__(self) -> None:
+        self._scheduler = ListPrefetchScheduler()
 
-    def execute_task(self, ctx: TaskContext) -> TaskOutcome:
-        placed = ctx.placed
-        upcoming = self._upcoming_configurations(ctx)
+    def schedule_task(self, ctx: TaskContext) -> TaskSchedule:
+        # The next task's configurations are protected from eviction.
+        next_task = ctx.next_scheduled
+        upcoming = (tuple(next_task.point.placed.graph.configurations)
+                    if next_task is not None else ())
         decision = ctx.reuse_module.analyze(
-            placed, ctx.state.tiles, now=ctx.release_time,
+            ctx.placed, ctx.state.tiles, now=ctx.release_time,
             upcoming_configurations=upcoming,
         )
-        problem = PrefetchProblem(
-            placed=placed,
-            reconfiguration_latency=ctx.reconfiguration_latency,
-            reused=decision.reused,
-            release_time=ctx.release_time,
-            controller_available=ctx.state.controller_free,
-        )
-        result = self._scheduler.schedule(problem)
-        ctx.state.apply_task_execution(
-            placed, decision.tile_binding, decision.reused,
-            result.timed.executions,
-            self._load_finish_times(result.timed.loads),
-        )
-        controller_free = max(ctx.state.controller_free,
-                              max((load.finish for load in result.timed.loads),
-                                  default=ctx.release_time))
-        intertask_loads: Tuple = ()
-        if self.uses_intertask and ctx.next_scheduled is not None:
-            intertask_plan = self._prefetch_next(ctx, decision, result,
-                                                 controller_free)
-            controller_free = max(controller_free,
-                                  intertask_plan.controller_free)
-            intertask_loads = intertask_plan.loads
-        record = self._make_record(
-            ctx,
-            finish_time=result.timed.makespan,
-            overhead=result.overhead,
-            loads_performed=result.load_count,
-            loads_reused=len(decision.reused),
-            intertask_prefetches=len(intertask_loads),
-            scheduler_operations=result.stats.operations,
-            reuse_operations=decision.operations,
-        )
-        plan = TaskPlan(
-            placed=placed,
-            tile_binding=dict(decision.tile_binding),
-            reused=frozenset(decision.reused),
-            executions=dict(result.timed.executions),
-            loads=tuple(result.timed.loads),
-            intertask_loads=tuple(intertask_loads),
-        )
-        return TaskOutcome(record=record, finish_time=result.timed.makespan,
-                           controller_free=controller_free, plan=plan)
+        return self._schedule_with(self._scheduler, ctx, decision)
 
-    # ------------------------------------------------------------------ #
-    def _upcoming_configurations(self, ctx: TaskContext) -> Tuple[str, ...]:
-        """Configurations of the next task (protects them from eviction)."""
-        if ctx.next_scheduled is None:
-            return ()
-        graph = ctx.next_scheduled.point.placed.graph
-        return tuple(graph.configurations)
+    def prefetch_next(self, ctx: TaskContext, schedule: TaskSchedule,
+                      controller_free: float) -> Optional[InterTaskPlan]:
+        if not self.uses_intertask:
+            return None
+        return self._plan_intertask(ctx, schedule,
+                                    self._next_task_requests(ctx),
+                                    controller_free)
 
     def _next_task_requests(self, ctx: TaskContext) -> List[PrefetchRequest]:
         """Loads of the next task, in the run-time heuristic's priority order."""
         next_placed = ctx.next_scheduled.point.placed
-        problem = PrefetchProblem(
+        order = self._scheduler.load_order(PrefetchProblem(
             placed=next_placed,
             reconfiguration_latency=ctx.reconfiguration_latency,
-        )
-        order = self._scheduler.load_order(problem)
-        graph = next_placed.graph
-        return [PrefetchRequest(subtask=name,
-                                configuration=graph.subtask(name).configuration)
-                for name in order]
-
-    def _prefetch_next(self, ctx: TaskContext, decision: ReuseDecision,
-                       result, controller_free: float) -> InterTaskPlan:
-        tile_releases = self._tile_release_times(
-            ctx.placed, decision.tile_binding, result.timed.executions
-        )
-        return self._plan_intertask(
-            ctx,
-            requests=self._next_task_requests(ctx),
-            tile_releases=tile_releases,
-            controller_free=controller_free,
-            task_finish=result.timed.makespan,
-        )
+        ))
+        return _requests(next_placed.graph, order)
 
 
 class RunTimeInterTaskApproach(RunTimeApproach):
@@ -637,11 +551,11 @@ class AdaptivePrefetchApproach(RunTimeApproach):
     name = "adaptive"
     uses_intertask = True
 
-    def __init__(self, priority: str = "ideal-start", kp: float = 0.6,
-                 ki: float = 0.15, headroom: int = 1, max_depth: int = 8,
-                 lookback: int = 12, target_overhead: float = 0.05,
+    def __init__(self, kp: float = 0.6, ki: float = 0.15, headroom: int = 1,
+                 max_depth: int = 8, lookback: int = 12,
+                 target_overhead: float = 0.05,
                  waste_weight: float = 0.5) -> None:
-        super().__init__(priority)
+        super().__init__()
         if kp < 0.0 or ki < 0.0:
             raise ConfigurationError("controller gains must be >= 0")
         if headroom < 0:
@@ -704,8 +618,6 @@ class HybridApproach(SchedulingApproach):
     """Hybrid design-time/run-time prefetch heuristic with inter-task support."""
 
     name = "hybrid"
-    uses_reuse = True
-    uses_intertask = True
 
     def __init__(self, use_intertask: bool = True) -> None:
         self.uses_intertask = use_intertask
@@ -741,19 +653,14 @@ class HybridApproach(SchedulingApproach):
             for configuration in entry.critical_configurations
         )
 
-    def execute_task(self, ctx: TaskContext) -> TaskOutcome:
-        if self._heuristic is None or self._store is None:
-            raise ConfigurationError(
-                "hybrid approach used before prepare() was called"
-            )
-        entry = self._store.get(ctx.scheduled.task_name,
-                                ctx.scheduled.scenario_name,
-                                ctx.scheduled.point_key)
-        placed = entry.placed
+    def schedule_task(self, ctx: TaskContext) -> TaskSchedule:
+        entry = self.store.get(*_point_key(ctx.scheduled))
         upcoming = set(self._critical_configurations)
-        upcoming.update(self._next_critical_configurations(ctx))
+        if ctx.next_scheduled is not None:
+            upcoming.update(self.store.get(
+                *_point_key(ctx.next_scheduled)).critical_configurations)
         decision = ctx.reuse_module.analyze(
-            placed, ctx.state.tiles, now=ctx.release_time,
+            entry.placed, ctx.state.tiles, now=ctx.release_time,
             upcoming_configurations=tuple(upcoming),
             weights=entry.weights,
         )
@@ -763,77 +670,32 @@ class HybridApproach(SchedulingApproach):
             release_time=ctx.release_time,
             controller_available=ctx.state.controller_free,
         )
-        load_finish = self._load_finish_times(execution.initialization_loads,
-                                              execution.timed.loads)
-        reused_now = set(decision.reused) - set(execution.decision.initialization_loads)
-        ctx.state.apply_task_execution(
-            placed, decision.tile_binding, reused_now,
-            execution.timed.executions, load_finish,
-        )
-        controller_free = max(ctx.state.controller_free,
-                              execution.controller_free)
-        intertask_loads: Tuple = ()
-        if self.uses_intertask and ctx.next_scheduled is not None:
-            tile_releases = self._tile_release_times(
-                placed, decision.tile_binding, execution.timed.executions
-            )
-            intertask_plan = self._plan_intertask(
-                ctx,
-                requests=self._next_critical_requests(ctx),
-                tile_releases=tile_releases,
-                controller_free=controller_free,
-                task_finish=execution.makespan,
-                avoid_configurations=self._critical_configurations,
-            )
-            controller_free = max(controller_free,
-                                  intertask_plan.controller_free)
-            intertask_loads = intertask_plan.loads
-        record = self._make_record(
-            ctx,
-            finish_time=execution.makespan,
-            overhead=execution.overhead,
-            loads_performed=execution.load_count,
-            loads_reused=len(decision.reused),
+        # Initialization loads are exactly the critical subtasks the
+        # decision could not reuse, so the reused set applies unchanged.
+        return TaskSchedule(
+            placed=entry.placed,
+            decision=decision,
+            reused=decision.reused,
+            executions=execution.timed.executions,
+            makespan=execution.makespan,
+            loads=execution.initialization_loads + execution.timed.loads,
+            scheduler_operations=execution.runtime_operations,
             loads_cancelled=execution.decision.cancelled_count,
             initialization_loads=execution.decision.initialization_count,
-            intertask_prefetches=len(intertask_loads),
-            scheduler_operations=execution.runtime_operations,
-            reuse_operations=decision.operations,
         )
-        plan = TaskPlan(
-            placed=placed,
-            tile_binding=dict(decision.tile_binding),
-            reused=frozenset(reused_now),
-            executions=dict(execution.timed.executions),
-            loads=tuple(execution.initialization_loads)
-                  + tuple(execution.timed.loads),
-            intertask_loads=tuple(intertask_loads),
-        )
-        return TaskOutcome(record=record, finish_time=execution.makespan,
-                           controller_free=controller_free, plan=plan)
 
-    # ------------------------------------------------------------------ #
-    def _next_entry(self, ctx: TaskContext):
-        if ctx.next_scheduled is None or self._store is None:
+    def prefetch_next(self, ctx: TaskContext, schedule: TaskSchedule,
+                      controller_free: float) -> Optional[InterTaskPlan]:
+        """Prefetch the next task's critical subtasks into the idle tail."""
+        if not self.uses_intertask:
             return None
-        return self._store.get(ctx.next_scheduled.task_name,
-                               ctx.next_scheduled.scenario_name,
-                               ctx.next_scheduled.point_key)
-
-    def _next_critical_requests(self, ctx: TaskContext) -> List[PrefetchRequest]:
-        entry = self._next_entry(ctx)
-        if entry is None:
-            return []
-        graph = entry.placed.graph
-        return [PrefetchRequest(subtask=name,
-                                configuration=graph.subtask(name).configuration)
-                for name in entry.critical_subtasks]
-
-    def _next_critical_configurations(self, ctx: TaskContext) -> Tuple[str, ...]:
-        entry = self._next_entry(ctx)
-        if entry is None:
-            return ()
-        return entry.critical_configurations
+        entry = self.store.get(*_point_key(ctx.next_scheduled))
+        return self._plan_intertask(
+            ctx, schedule,
+            _requests(entry.placed.graph, entry.critical_subtasks),
+            controller_free,
+            avoid_configurations=self._critical_configurations,
+        )
 
 
 #: Registry of the evaluated approaches, keyed by name: the paper's five

@@ -80,10 +80,10 @@ a PI controller in the ``PIPrefetcher`` idiom:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
-
+import math
 import random
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Tuple
 
 from ..core.intertask import PlannedPrefetch
 from ..errors import ConfigurationError, SchedulingError
@@ -118,6 +118,12 @@ class PerturbationConfig:
     fault_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, value in self.payload().items():
+            # NaN passes every range check below, and an infinite
+            # max_retries would retry a failing load forever.
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, "
+                                         f"got {value!r}")
         if self.latency_sigma < 0.0:
             raise ConfigurationError("latency_sigma must be >= 0")
         if self.latency_jitter < 0.0:

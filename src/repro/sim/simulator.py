@@ -12,9 +12,10 @@ whose ``overhead_percent`` is the quantity plotted in Figures 6 and 7.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..errors import ConfigurationError
 from ..platform.description import Platform
@@ -94,6 +95,10 @@ class SimulationConfig:
         if self.point_selection == "deadline" and self.deadline is None:
             raise ConfigurationError(
                 "a deadline is required when point_selection='deadline'"
+            )
+        if self.deadline is not None and not math.isfinite(self.deadline):
+            raise ConfigurationError(
+                f"deadline must be finite, got {self.deadline!r}"
             )
         if not 0.0 <= self.configuration_fault_rate <= 1.0:
             raise ConfigurationError(
@@ -278,12 +283,6 @@ class SystemSimulator:
             record = outcome.record
             finish = outcome.finish_time
             if self._noise is not None:
-                if outcome.plan is None:
-                    raise ConfigurationError(
-                        f"approach {self.approach.name!r} returned no task "
-                        "plan; plans are required under a non-null "
-                        "perturbation"
-                    )
                 realized = realize_task(
                     outcome.plan, self._noise,
                     self.workload.reconfiguration_latency,
@@ -300,7 +299,7 @@ class SystemSimulator:
                     prefetches_abandoned=len(realized.abandoned),
                 )
                 finish = realized.makespan
-            if self._faulted and outcome.plan is not None:
+            if self._faulted:
                 # Attribute loads that re-fetch a configuration lost to
                 # fault injection; each faulted configuration is charged
                 # at most once.
@@ -344,63 +343,3 @@ def simulate(workload: Workload, tile_count: int,
                                 design_result=design_result)
     return simulator.run()
 
-
-def sweep_tile_counts(workload: Workload, tile_counts: Sequence[int],
-                      approaches: Sequence[SchedulingApproach],
-                      iterations: int = 1000, seed: int = 2005,
-                      jobs: int = 1, cache_dir: Optional[str] = None
-                      ) -> Dict[str, Dict[int, SimulationMetrics]]:
-    """Run every approach for every tile count (the Figure 6/7 sweep).
-
-    Returns ``{approach name: {tile count: metrics}}``.  This is now a
-    thin wrapper over :class:`repro.runner.SweepEngine`: registered
-    workload/approach combinations go through the engine (sharing one
-    design-time exploration per tile count, optionally across ``jobs``
-    worker processes and a result cache), while unregistered custom
-    classes fall back to the direct sequential loop.
-    """
-    # Imported here: repro.runner builds on this module.
-    from ..runner import ApproachSpec, SweepEngine, SweepSpec
-    from ..runner.spec import workload_spec_for
-    from .approaches import APPROACHES
-
-    def _registered(instance) -> bool:
-        factory = APPROACHES.get(getattr(instance, "name", None))
-        return factory is not None and type(instance) is factory
-
-    workload_spec = workload_spec_for(workload)
-    engine_approaches = [approach for approach in approaches
-                         if workload_spec is not None
-                         and _registered(approach)]
-    engine_results: Dict[str, Dict[int, SimulationMetrics]] = {}
-    if engine_approaches:
-        spec = SweepSpec(
-            workloads=(workload_spec,),
-            approaches=tuple(ApproachSpec(approach.name)
-                             for approach in engine_approaches),
-            tile_counts=tuple(tile_counts),
-            seeds=(seed,),
-            iterations=iterations,
-        )
-        engine = SweepEngine(max_workers=jobs, cache_dir=cache_dir)
-        engine_results = engine.run(spec).by_approach(seed=seed)
-
-    # Assemble per approach *instance*, in input order (last one wins for a
-    # shared name, as before): engine-covered instances take their engine
-    # series, anything else runs the direct sequential loop.
-    results: Dict[str, Dict[int, SimulationMetrics]] = {}
-    engine_ids = {id(approach) for approach in engine_approaches}
-    for approach in approaches:
-        if id(approach) in engine_ids:
-            results[approach.name] = engine_results[approach.name]
-            continue
-        per_tiles: Dict[int, SimulationMetrics] = {}
-        for tile_count in tile_counts:
-            # Re-instantiate the approach per tile count so its design-time
-            # preparation matches the platform being simulated.
-            fresh = type(approach)()
-            result = simulate(workload, tile_count, fresh,
-                              iterations=iterations, seed=seed)
-            per_tiles[tile_count] = result.metrics
-        results[approach.name] = per_tiles
-    return results

@@ -1,12 +1,7 @@
 """The single workload registry behind specs, the service and the CLI.
 
-Workload identity used to be split across two unrelated tables — a
-``WORKLOAD_FACTORIES`` dict in :mod:`repro.runner.spec` (sweep points) and
-a ``TASK_GRAPHS`` dict in :mod:`repro.service.state` (``/schedule``
-requests) — and :func:`repro.runner.spec.workload_spec_for` hardcoded the
-concrete workload classes, so plugging in a new workload family meant
-editing three modules.  This module replaces all of that with one
-decorator-based registry:
+One decorator-based registry names every workload family and every task
+graph:
 
 * :func:`register_workload` registers a *workload factory* — a callable
   building a :class:`~repro.workloads.base.Workload` from scalar keyword
@@ -29,19 +24,12 @@ Registration happens at import time in the family modules
 which are pulled in by importing :mod:`repro.workloads`.  Only
 module-level factories belong in the registry: worker processes resolve
 names through it after importing the package afresh.
-
-The old names survive as *deprecated read-only views*
-(:data:`WORKLOAD_FACTORIES`, :data:`TASK_GRAPHS`): live mappings over the
-registry tables that existing callers can keep iterating/indexing, but
-that can no longer be mutated directly — new families register through
-the decorators.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
-                    Tuple, Type)
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Type
 
 from ..errors import ConfigurationError
 from ..graphs.taskgraph import TaskGraph
@@ -267,47 +255,3 @@ def build_task_graph(name: str) -> TaskGraph:
         ) from None
     return factory()
 
-
-# --------------------------------------------------------------------- #
-# Deprecated read-only views
-# --------------------------------------------------------------------- #
-class _RegistryView(Mapping):
-    """Read-only live :class:`Mapping` over one registry table.
-
-    Backs the deprecated module-level names (``WORKLOAD_FACTORIES``,
-    ``TASK_GRAPHS``): iteration and lookup keep working, mutation does
-    not — registration goes through the decorators now.
-    """
-
-    def __init__(self, table: Dict[str, object],
-                 unwrap: Callable[[object], object] = lambda value: value
-                 ) -> None:
-        self._table = table
-        self._unwrap = unwrap
-
-    def __getitem__(self, key: str):
-        return self._unwrap(self._table[key])
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._table)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self)!r})"
-
-
-#: Deprecated: the live name -> factory view once hand-maintained in
-#: :mod:`repro.runner.spec`.  Use :func:`register_workload` /
-#: :func:`build_workload` instead.
-WORKLOAD_FACTORIES: Mapping[str, Callable[..., Workload]] = _RegistryView(
-    _WORKLOADS, unwrap=lambda entry: entry.factory,
-)
-
-#: Deprecated: the live name -> graph-factory view once hand-maintained in
-#: :mod:`repro.service.state`.  Use :func:`register_task_graph` /
-#: :func:`build_task_graph` instead.
-TASK_GRAPHS: Mapping[str, Callable[[], TaskGraph]] = _RegistryView(
-    _TASK_GRAPHS,
-)

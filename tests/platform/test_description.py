@@ -25,6 +25,17 @@ class TestPlatform:
         with pytest.raises(PlatformError):
             Platform(tile_count=1, reconfiguration_latency=-1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(reconfiguration_latency=float("nan")),
+        dict(reconfiguration_latency=float("inf")),
+        dict(tile_count=float("inf")),
+    ])
+    def test_non_finite_fields_rejected(self, kwargs):
+        params = dict(tile_count=1)
+        params.update(kwargs)
+        with pytest.raises(PlatformError, match="must be finite"):
+            Platform(**params)
+
     def test_negative_isp_count_rejected(self):
         with pytest.raises(PlatformError):
             Platform(tile_count=1, isp_count=-1)

@@ -12,7 +12,7 @@ from repro.runner import (
     run_group,
 )
 from repro.sim.approaches import HybridApproach, RunTimeApproach
-from repro.sim.simulator import simulate, sweep_tile_counts
+from repro.sim.simulator import simulate
 from repro.workloads.synthetic import SyntheticSpec, SyntheticWorkload
 
 #: A deliberately small synthetic workload: cheap design-time exploration,
@@ -82,45 +82,6 @@ class TestDeterminism:
             direct = simulate(workload, outcome.point.tile_count, approach(),
                               iterations=ITERATIONS, seed=11)
             assert direct.metrics == outcome.metrics
-
-    def test_engine_matches_sweep_tile_counts(self, sequential):
-        """The thin wrapper and the engine agree point for point."""
-        legacy = sweep_tile_counts(
-            SyntheticWorkload(spec=SyntheticSpec(**SYNTH_OPTIONS)),
-            tile_counts=(4, 6),
-            approaches=[RunTimeApproach(), HybridApproach()],
-            iterations=ITERATIONS, seed=11,
-        )
-        assert legacy == sequential.by_approach()
-
-    def test_sweep_tile_counts_runs_unregistered_name_collision(self):
-        """A custom subclass sharing a registered name is still simulated.
-
-        The wrapper routes registered instances through the engine and
-        everything else through the direct loop; a subclass inheriting
-        ``name = "run-time"`` must win the name slot when listed last,
-        exactly as the pre-engine implementation behaved.
-        """
-        class TaggedRunTime(RunTimeApproach):
-            prepared = 0
-
-            def prepare(self, design_result, reconfiguration_latency):
-                type(self).prepared += 1
-                super().prepare(design_result, reconfiguration_latency)
-
-        workload = SyntheticWorkload(spec=SyntheticSpec(**SYNTH_OPTIONS))
-        results = sweep_tile_counts(
-            workload, tile_counts=(4,),
-            approaches=[RunTimeApproach(), TaggedRunTime()],
-            iterations=5, seed=11,
-        )
-        assert set(results) == {"run-time"}
-        # The subclass actually ran (once per tile count)...
-        assert TaggedRunTime.prepared == 1
-        # ...and, being last in the list, its metrics occupy the slot.
-        direct = simulate(workload, 4, TaggedRunTime(),
-                          iterations=5, seed=11)
-        assert results["run-time"][4] == direct.metrics
 
     def test_rerun_is_identical(self, sequential):
         again = SweepEngine(max_workers=1).run(synth_spec())

@@ -98,6 +98,17 @@ class TestApproachSpec:
         with pytest.raises(ConfigurationError):
             ApproachSpec.of("oracle")
 
+    @pytest.mark.parametrize("name, options", [
+        ("no-prefetch", dict(priority="weight")),
+        ("run-time", dict(priority="weight")),
+        ("adaptive", dict(priority="weight")),
+        ("hybrid", dict(static_intertask=True)),
+    ])
+    def test_options_the_constructor_lacks_are_rejected(self, name,
+                                                        options):
+        with pytest.raises(ConfigurationError, match="bad options"):
+            ApproachSpec.of(name, **options)
+
     def test_labels_distinguish_variants(self):
         labels = {
             ApproachSpec.of("hybrid").label,

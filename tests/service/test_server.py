@@ -44,6 +44,15 @@ class TestPayloadParsing:
         spec = approach_spec_from({"name": "hybrid", "replacement": "lru"})
         assert spec == ApproachSpec.of("hybrid", replacement="lru")
 
+    def test_unknown_approach_option_is_a_bad_request(self, service):
+        status, body = service.handle("/simulate", {
+            "workload": SYNTH_PAYLOAD, "tiles": 4, "iterations": ITERATIONS,
+            "approach": {"name": "run-time",
+                         "options": {"priority": "weight"}},
+        })
+        assert status == 400
+        assert "bad options" in body["error"]
+
     def test_unknown_names_are_bad_requests(self):
         with pytest.raises(BadRequest):
             workload_spec_from({"options": {}})
@@ -131,6 +140,14 @@ class TestEndpoints:
         status, body = service.handle(
             "/schedule", {"task": "jpeg_decoder", "reused": ["ghost"]})
         assert status == 400
+
+    def test_schedule_non_finite_latency_is_400(self, service):
+        # Transport-free callers can hand over a NaN directly; the
+        # platform's own check must still refuse it.
+        status, body = service.handle(
+            "/schedule", {"task": "jpeg_decoder", "latency": float("nan")})
+        assert status == 400
+        assert "must be finite" in body["error"]
 
     def test_schedule_requires_task(self, service):
         status, body = service.handle("/schedule", {})
@@ -286,6 +303,41 @@ class TestHttpLayer:
                     return received
                 received += chunk
 
+    @pytest.mark.parametrize("path, payload", [
+        ("/schedule", {"task": "jpeg_decoder", "latency": float("nan")}),
+        ("/schedule", {"task": "jpeg_decoder", "latency": float("inf")}),
+        ("/simulate", {"workload": SYNTH_PAYLOAD, "approach": "hybrid",
+                       "tiles": 4, "iterations": ITERATIONS,
+                       "perturbation": {"execution_sigma": float("inf")}}),
+        ("/robustness", {"workload": SYNTH_PAYLOAD, "tiles": 4,
+                         "approaches": ["hybrid"], "seeds": [1],
+                         "iterations": ITERATIONS,
+                         "levels": [float("nan")]}),
+    ], ids=["schedule-nan", "schedule-inf", "simulate-inf", "robustness-nan"])
+    def test_non_finite_json_numbers_are_400(self, live_server, path,
+                                             payload):
+        # json.dumps writes the NaN/Infinity tokens json.loads accepts by
+        # default; they must never reach a range check.
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", live_server.server_address[1], timeout=30)
+        try:
+            connection.request("POST", path, body=json.dumps(payload))
+            response = connection.getresponse()
+            body = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400, body
+        assert "error" in body
+
+    def test_overflowing_json_number_is_400(self, live_server):
+        body = b'{"task": "jpeg_decoder", "latency": 1e999}'
+        reply = self._raw_exchange(
+            live_server.server_address[1],
+            b"POST /schedule HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body),
+        )
+        assert reply.startswith(b"HTTP/1.1 400 ")
+
     def test_negative_content_length_is_400_and_closes(self, live_server):
         reply = self._raw_exchange(
             live_server.server_address[1],
@@ -328,9 +380,3 @@ class TestCliParser:
         assert args.shed_retry_after == 0.5
         assert args.cache_dir == "/tmp/x"
         assert args.tt_cache is False
-
-    def test_demo_registry_is_service_registry(self):
-        from repro.cli import _DEMO_GRAPHS
-        from repro.service import TASK_GRAPHS
-
-        assert _DEMO_GRAPHS is TASK_GRAPHS

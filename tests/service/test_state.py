@@ -5,8 +5,9 @@ import threading
 import pytest
 
 from repro.runner import ApproachSpec, SweepPoint, WorkloadSpec
-from repro.service import ServiceOverloaded, ServiceState, TASK_GRAPHS
+from repro.service import ServiceOverloaded, ServiceState
 from repro.service.state import DEFAULT_MAX_PENDING
+from repro.workloads import registry
 
 #: Tiny synthetic workload shared by the service tests (fast to explore
 #: and to simulate, same spirit as tests/runner/test_engine.py).
@@ -78,7 +79,7 @@ class TestResidentExplorations:
         assert state.exploration_builds == 1
         second = state.exploration_for(synth_spec(), 4)
         assert second is first  # the same live trio, not a rebuild
-        assert state.batch_hits == 1
+        assert state.exploration_lru_hits == 1
         assert state.exploration_builds == 1
 
     def test_lru_evicts_oldest_platform(self):
@@ -103,7 +104,7 @@ class TestResidentSchedules:
         first = state.placed_schedule_for("jpeg_decoder", 8, 4.0)
         second = state.placed_schedule_for("jpeg_decoder", 8, 4.0)
         assert second is first
-        assert state.batch_hits == 1
+        assert state.schedule_lru_hits == 1
 
     def test_unknown_task_is_a_bad_request(self):
         from repro.service import BadRequest
@@ -113,7 +114,7 @@ class TestResidentSchedules:
             state.placed_schedule_for("nope", 8, 4.0)
 
     def test_registry_covers_demo_tasks(self):
-        assert set(TASK_GRAPHS) == {
+        assert set(registry.task_graph_names()) == {
             "pattern_recognition", "jpeg_decoder", "parallel_jpeg",
             "mpeg_encoder_b", "mpeg_encoder_p", "mpeg_encoder_i",
         }
@@ -146,7 +147,8 @@ class TestSnapshotsAndClose:
     def test_warm_snapshot_keys(self):
         state = ServiceState()
         snapshot = state.warm_snapshot()
-        for key in ("batch_hits", "exploration_builds",
+        for key in ("exploration_lru_hits", "schedule_lru_hits",
+                    "exploration_builds",
                     "resident_explorations", "resident_schedules",
                     "result_cache_hits", "simulations", "pool_hits",
                     "pool_misses", "pool_engines", "tt_warm_hits"):

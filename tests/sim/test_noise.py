@@ -71,6 +71,12 @@ class TestPerturbationConfig:
         dict(max_retries=-1),
         dict(failure_detection_fraction=0.0),
         dict(failure_detection_fraction=1.5),
+        # NaN slips through every ``x < 0`` check; an infinite retry
+        # budget never gives up on a failing load.
+        dict(latency_sigma=float("nan")),
+        dict(latency_jitter=float("inf")),
+        dict(execution_sigma=float("nan")),
+        dict(max_retries=float("inf")),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):

@@ -14,7 +14,6 @@ from repro.sim.simulator import (
     SimulationConfig,
     SystemSimulator,
     simulate,
-    sweep_tile_counts,
 )
 from repro.workloads.multimedia import MultimediaWorkload
 from repro.workloads.synthetic import SyntheticSpec, SyntheticWorkload
@@ -57,6 +56,11 @@ class TestSimulationConfig:
     def test_deadline_required(self):
         with pytest.raises(ConfigurationError):
             SimulationConfig(point_selection="deadline")
+
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf")])
+    def test_non_finite_deadline_rejected(self, deadline):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            SimulationConfig(point_selection="deadline", deadline=deadline)
 
 
 class TestBasicRuns:
@@ -156,10 +160,3 @@ class TestPointSelection:
         result = SystemSimulator(workload, platform, RunTimeApproach(),
                                  config).run()
         assert result.metrics.task_executions > 0
-
-    def test_sweep_tile_counts(self, workload):
-        results = sweep_tile_counts(workload, tile_counts=(8, 12),
-                                    approaches=[NoPrefetchApproach()],
-                                    iterations=10, seed=1)
-        assert set(results) == {"no-prefetch"}
-        assert set(results["no-prefetch"]) == {8, 12}

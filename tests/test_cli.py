@@ -1,8 +1,26 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.workloads import registry
+
+
+class TestImportFootprint:
+    def test_cli_import_stays_off_the_http_stack(self):
+        """Only ``serve`` and ``trace run --service`` load the HTTP code."""
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        script = ("import sys, repro.cli; print(sorted(name for name in "
+                  "('repro.service', 'http.server') if name in sys.modules))")
+        loaded = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        assert loaded.stdout.strip() == "[]"
 
 
 class TestParser:
@@ -85,6 +103,13 @@ class TestCommands:
         assert "without prefetch" in output
         assert "hybrid heuristic" in output
         assert "reconfig" in output
+
+    def test_demo_tasks_are_the_registered_task_graphs(self):
+        parser = build_parser()
+        for name in registry.task_graph_names():
+            assert parser.parse_args(["demo", "--task", name]).task == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["demo", "--task", "ghost"])
 
     def test_hide_rate(self, capsys):
         assert main(["hide-rate"]) == 0

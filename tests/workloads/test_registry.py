@@ -4,7 +4,7 @@ The registry is the single source of truth behind ``WorkloadSpec.build()``
 and the service's task-graph lookup; these tests pin the public contract:
 decorator registration, option-schema validation, the spec round-trip
 (register -> ``WorkloadSpec.of`` -> ``build`` -> ``workload_spec_for`` ->
-same spec) and the deprecated alias views.
+same spec).
 """
 
 import pytest
@@ -12,11 +12,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.graphs.taskgraph import chain_graph
-from repro.runner.spec import (
-    WORKLOAD_FACTORIES,
-    WorkloadSpec,
-    workload_spec_for,
-)
+from repro.runner.spec import WorkloadSpec, workload_spec_for
 from repro.workloads import registry
 from repro.workloads.base import Workload
 from repro.workloads.multimedia import MultimediaWorkload
@@ -184,20 +180,3 @@ class TestTaskGraphs:
         finally:
             registry.unregister_task_graph("scratch-graph")
         assert not registry.has_task_graph("scratch-graph")
-
-
-class TestDeprecatedAliases:
-    def test_workload_factories_is_live_view(self, scratch_workload):
-        assert scratch_workload in WORKLOAD_FACTORIES
-        factory = WORKLOAD_FACTORIES[scratch_workload]
-        assert isinstance(factory(), MultimediaWorkload)
-
-    def test_task_graphs_view_matches_registry(self):
-        from repro.service.state import TASK_GRAPHS
-
-        assert set(TASK_GRAPHS) == set(registry.task_graph_names())
-        assert TASK_GRAPHS is registry.TASK_GRAPHS
-
-    def test_views_are_read_only(self):
-        with pytest.raises(TypeError):
-            registry.TASK_GRAPHS["x"] = lambda: None
