@@ -40,12 +40,12 @@ kernel opened):
 
 * a **robustness section** for the stochastic run-time layer: digests of
   the full per-task record stream of a small simulation corpus run (a)
-  without a perturbation, (b) with a *null* :class:`PerturbationConfig`
-  and (c) with a fixed noisy one.  (a) and (b) must be identical to each
-  other **and** to the committed baseline — the zero-noise bit-identity
-  gate that keeps the perturbation layer from perturbing the
-  deterministic simulator — while (c) pins the noisy path's seeded
-  determinism across engine changes;
+  without a perturbation, which skips realization, (b) with a *null*
+  :class:`PerturbationConfig`, which realizes every plan on the replay
+  kernel, and (c) with a fixed noisy one.  (a) and (b) must be identical
+  to each other **and** to the committed baseline — the zero-noise gate:
+  realizing a plan without noise must return the plan — while (c) pins
+  the noisy path's seeded determinism across engine changes;
 
 * a **persisted-table (tt_store) comparison**: the same warm scenarios,
   once on a fresh persistent engine that flushes its certificates to a
@@ -472,8 +472,9 @@ def measure_robustness() -> Dict[str, str]:
     """Digest the corpus without noise, with a null config, and with noise.
 
     The first two must always be equal: a null
-    :class:`~repro.sim.noise.PerturbationConfig` is required to take the
-    exact noise-free code path.
+    :class:`~repro.sim.noise.PerturbationConfig` runs the realization
+    path, which replays every plan on the kernel that planned it and must
+    return the plan unchanged.
     """
     from repro.sim.noise import PerturbationConfig
 
@@ -714,8 +715,8 @@ def run_check(baseline_path: Path = BASELINE_PATH,
     measured_rb = measure_robustness()
     if measured_rb["zero_noise_digest"] != measured_rb["null_config_digest"]:
         failures.append(
-            "zero-noise bit-identity broken: a null PerturbationConfig "
-            "diverged from the perturbation-free simulator"
+            "zero-noise bit-identity broken: realizing under a null "
+            "PerturbationConfig diverged from the plan"
         )
     for key in ROBUSTNESS_EXACT:
         if key not in recorded_rb:

@@ -1,4 +1,8 @@
-"""Models of the reconfigurable platform (tiles, reconfiguration port, ICN)."""
+"""Models of the reconfigurable platform (tiles, ICN, energy).
+
+The single reconfiguration port has no model of its own: the replay
+kernel, :mod:`repro.scheduling.replay`, times every load on it.
+"""
 
 from .description import (
     DEFAULT_RECONFIGURATION_LATENCY_MS,
@@ -8,7 +12,6 @@ from .description import (
     virtex2_platform,
 )
 from .icn import IcnModel, IcnTopology, mesh_icn, zero_latency_icn
-from .reconfiguration import LoadRecord, ReconfigurationController
 from .tile import TileState
 
 __all__ = [
@@ -16,9 +19,7 @@ __all__ = [
     "EnergyModel",
     "IcnModel",
     "IcnTopology",
-    "LoadRecord",
     "Platform",
-    "ReconfigurationController",
     "TileState",
     "coarse_grain_platform",
     "mesh_icn",

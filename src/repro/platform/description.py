@@ -19,7 +19,6 @@ from typing import List
 
 from ..errors import PlatformError
 from .icn import IcnModel, zero_latency_icn
-from .reconfiguration import ReconfigurationController
 from .tile import TileState
 
 #: Reconfiguration latency (ms) of one tile of the paper's Virtex-II platform.
@@ -111,10 +110,6 @@ class Platform:
     def with_latency(self, reconfiguration_latency: float) -> "Platform":
         """Return a copy with a different reconfiguration latency."""
         return replace(self, reconfiguration_latency=reconfiguration_latency)
-
-    def new_controller(self) -> ReconfigurationController:
-        """Create a fresh reconfiguration controller for this platform."""
-        return ReconfigurationController(self.reconfiguration_latency)
 
     def new_tile_states(self) -> List[TileState]:
         """Create blank run-time state for every tile."""

@@ -70,8 +70,11 @@ from .spec import SPEC_FORMAT_VERSION, SweepPoint, WorkloadSpec
 #: exact search, shifting 13–15-load graphs from the heuristic to the
 #: optimum; version 4: the stochastic run-time layer added noise counters
 #: to :class:`~repro.sim.metrics.SimulationMetrics` and an optional
-#: ``perturbation`` block to point payloads).
-CACHE_FORMAT_VERSION = 4
+#: ``perturbation`` block to point payloads; version 5: noisy plans are
+#: realized on the replay kernel, and version-4 entries for noisy
+#: no-prefetch and hybrid points hold the old, wrong numbers, so they
+#: must recompute).
+CACHE_FORMAT_VERSION = 5
 
 #: Bump when the on-disk representation of an exploration changes.
 EXPLORATION_FORMAT_VERSION = 1

@@ -212,8 +212,9 @@ class SweepPoint:
     perturbation: Optional[PerturbationConfig] = None
 
     def __post_init__(self) -> None:
-        # A null perturbation runs the exact noise-free code path, so it is
-        # normalized to None here — the two spellings share one cache key.
+        # A null perturbation realizes every plan unchanged, so it is
+        # normalized to None here — the two spellings share one cache key
+        # and the point skips a realization that cannot change anything.
         if self.perturbation is not None and self.perturbation.is_null:
             object.__setattr__(self, "perturbation", None)
 

@@ -26,7 +26,9 @@ wrapper over :class:`repro.scheduling.replay.ReplayState`: the state is
 driven to completion with the greedy dispatcher in place, so every caller
 of this function — the list heuristics, the no-prefetch baseline, the
 hybrid run-time phase and the simulator — shares one timing engine with
-the stateful branch-and-bound search.
+the stateful branch-and-bound search and with the noise realization
+(:func:`repro.sim.noise.realize_task`), which replays committed load
+orders on the same kernel.
 """
 
 from __future__ import annotations

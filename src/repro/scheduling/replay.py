@@ -21,6 +21,14 @@ dispatcher of the paper as an explicit state machine:
   one the monolithic :func:`repro.scheduling.evaluator.replay_schedule`
   produces for the same issue sequence.
 
+Two further knobs serve the perturbation layer's realization
+(:func:`repro.sim.noise.realize_task`) only: a per-subtask ``durations``
+column on :meth:`ReplayState.start` that replaces the design-time
+execution times, and the forced :meth:`ReplayState.issue`, which holds
+the port for a load's drawn attempt spans instead of one latency.  They
+never reach a search, a signature or a transposition table: no scheduler
+starts a state with ``durations`` or issues through :meth:`issue`.
+
 Flat integer representation
 ---------------------------
 Names and :class:`~repro.scheduling.schedule.ResourceId` objects exist
@@ -360,7 +368,7 @@ class ReplayState:
     __slots__ = (
         "_core", "_placed", "latency", "on_demand", "release",
         "communication", "_weights", "_w", "_tails",
-        "controller_time", "pending_mask",
+        "controller_time", "pending_mask", "_exec_time",
         "_done", "_constraint", "_starts", "_finishes", "_pred_left",
         "_loaded", "_load_finish", "_next_index", "_resource_free",
         "_exec_order", "_prev_free", "_load_ids", "_load_starts",
@@ -379,13 +387,16 @@ class ReplayState:
               release_time: float = 0.0,
               controller_available: Optional[float] = None,
               communication: Optional[CommunicationFn] = None,
-              weights: Optional[Mapping[str, float]] = None
+              weights: Optional[Mapping[str, float]] = None,
+              durations: Optional[Mapping[str, float]] = None
               ) -> "ReplayState":
         """Initial state: no load issued, executions advanced to quiescence.
 
         Parameters mirror :func:`repro.scheduling.evaluator.replay_schedule`;
         ``weights`` optionally enables the realized makespan floor used by
-        branch-and-bound bounds (see the module docstring).
+        branch-and-bound bounds (see the module docstring).  ``durations``
+        (every subtask's realized execution time, by name) replaces the
+        graph's execution times — realization only.
         """
         if reconfiguration_latency < 0:
             raise SchedulingError("reconfiguration latency must be non-negative")
@@ -429,6 +440,8 @@ class ReplayState:
             else release_time,
         )
         state.pending_mask = pending
+        state._exec_time = (core.exec_time if durations is None
+                            else [durations[name] for name in core.names])
         state._done = bytearray(total)
         state._constraint = bytearray(total)
         state._starts = [0.0] * total
@@ -461,6 +474,7 @@ class ReplayState:
         child._tails = self._tails
         child.controller_time = self.controller_time
         child.pending_mask = self.pending_mask
+        child._exec_time = self._exec_time
         child._done = self._done[:]
         child._constraint = self._constraint[:]
         child._starts = self._starts[:]
@@ -617,7 +631,7 @@ class ReplayState:
                 code = 1
             else:
                 code = 2
-        finish = start + self._core.exec_time[sid]
+        finish = start + self._exec_time[sid]
         self._starts[sid] = start
         self._finishes[sid] = finish
         self._constraint[sid] = code
@@ -728,11 +742,19 @@ class ReplayState:
         names = self._core.names
         return [(names[sid], enable) for sid, enable in self.choice_ids()]
 
-    def _issue(self, sid: int, enable: float) -> None:
+    def _issue(self, sid: int, enable: float,
+               spans: Optional[Sequence[float]] = None) -> None:
         start = self.controller_time
         if enable > start:
             start = enable
-        finish = start + self.latency
+        if spans is None:
+            finish = start + self.latency
+        else:
+            # Failed attempts hold the port one span at a time; the load
+            # completes at the end of the last (successful) span.
+            for span in spans[:-1]:
+                start += span
+            finish = start + spans[-1]
         self._load_ids.append(sid)
         self._load_starts.append(start)
         self._loaded[sid] = 1
@@ -762,6 +784,38 @@ class ReplayState:
         raise SchedulingError(
             f"load {name!r} cannot be issued next: not a horizon-enabled "
             f"candidate of this replay state"
+        )
+
+    def issue(self, name: str, spans: Sequence[float]) -> None:
+        """Issue ``name`` next **in place**, holding the port for ``spans``.
+
+        The forced issue of realization: ``name`` only has to be
+        structurally issuable (pending, at the head of its tile queue and,
+        on demand, predecessor-complete) — never horizon-enabled — so a
+        committed load order replays under any durations, because which
+        loads are issuable depends on which loads were issued, never on
+        times.  ``spans`` are the load's port spans in draw order: every
+        failed attempt's span, then the successful attempt's duration.
+        """
+        core = self._core
+        sid = core.index.get(name)
+        if sid is not None and (self.pending_mask >> sid) & 1:
+            rid = core.resource_of[sid]
+            on_demand = self.on_demand
+            # A pending subtask has not executed, so it heads its tile
+            # queue exactly when the frontier sits at its position.
+            if (self._next_index[rid] == core.position[sid]
+                    and not (on_demand and self._pred_left[sid])):
+                enable = self._resource_free[rid]
+                if on_demand:
+                    ready = self._predecessor_ready_time(sid, rid)
+                    if ready > enable:
+                        enable = ready
+                self._issue(sid, enable, spans)
+                return
+        raise SchedulingError(
+            f"load {name!r} cannot be issued next: it is not pending at the "
+            f"head of its tile queue"
         )
 
     def extend_choice(self, name: str, enable: float) -> "ReplayState":
@@ -938,6 +992,22 @@ class ReplayState:
     # ------------------------------------------------------------------ #
     # Materialization & search support
     # ------------------------------------------------------------------ #
+    def times(self) -> Tuple[Dict[str, float], Dict[str, float],
+                             Dict[str, float]]:
+        """Execution starts, execution finishes and load finishes by name.
+
+        Read straight off the columns, for callers that need only the
+        times (realization) and not the entries :meth:`finish` builds.
+        """
+        names = self._core.names
+        starts = self._starts
+        finishes = self._finishes
+        load_finish = self._load_finish
+        order = self._exec_order
+        return ({names[sid]: starts[sid] for sid in order},
+                {names[sid]: finishes[sid] for sid in order},
+                {names[lid]: load_finish[lid] for lid in self._load_ids})
+
     def _materialize_executions(self) -> Dict[str, ExecutionEntry]:
         core = self._core
         names = core.names
@@ -968,14 +1038,14 @@ class ReplayState:
         core = self._core
         names = core.names
         resources = core.resources
-        latency = self.latency
+        load_finish = self._load_finish
         loads = tuple(
             LoadEntry(
                 subtask=names[lid],
                 configuration=core.configuration[lid],
                 resource=resources[core.resource_of[lid]],
                 start=start,
-                finish=start + latency,
+                finish=load_finish[lid],
             )
             for lid, start in zip(self._load_ids, self._load_starts)
         )

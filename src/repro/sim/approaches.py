@@ -113,7 +113,9 @@ class TaskSchedule:
     ``decision`` binds the logical tiles, and its ``reused`` set is what
     the record counts as reused; ``reused`` holds the subtasks that skip
     their load when the task is applied to the platform state; ``loads``
-    holds every load, the hybrid's initialization loads included.
+    holds every load in port order, the hybrid's initialization loads
+    first; ``on_demand`` marks loads that wait until their subtask is
+    otherwise ready (the no-prefetch baseline).
     """
 
     placed: PlacedSchedule
@@ -125,6 +127,7 @@ class TaskSchedule:
     scheduler_operations: int = 0
     loads_cancelled: int = 0
     initialization_loads: int = 0
+    on_demand: bool = False
 
     def tile_availability(self, ctx: TaskContext) -> Dict[int, float]:
         """When every physical tile may take an inter-task load.
@@ -247,6 +250,8 @@ class SchedulingApproach(abc.ABC):
             executions=dict(schedule.executions),
             loads=loads,
             intertask_loads=intertask_loads,
+            on_demand=schedule.on_demand,
+            initialization_loads=schedule.initialization_loads,
         )
         return TaskOutcome(record=record, finish_time=schedule.makespan,
                            controller_free=controller_free, plan=plan)
@@ -357,7 +362,8 @@ class NoPrefetchApproach(SchedulingApproach):
     def schedule_task(self, ctx: TaskContext) -> TaskSchedule:
         decision = ctx.reuse_module.analyze(ctx.placed, ctx.state.tiles,
                                             now=ctx.release_time)
-        return self._schedule_with(self._scheduler, ctx, decision)
+        return replace(self._schedule_with(self._scheduler, ctx, decision),
+                       on_demand=True)
 
 
 class DesignTimePrefetchApproach(SchedulingApproach):

@@ -46,10 +46,14 @@ This generalizes the between-iteration ``configuration_fault_rate`` of
 :class:`~repro.sim.simulator.SimulationConfig` (which still exists and now
 feeds the fault-attribution counters) into failures *during* loads.
 
-Zero noise is bit-identical to the seed simulator: a ``perturbation`` of
-``None`` — or any config whose :attr:`PerturbationConfig.is_null` is true
-— skips this layer entirely, so the untouched code path runs and the
-result cache / regression baselines remain valid.
+Realization runs on the replay kernel
+(:class:`~repro.scheduling.replay.ReplayState`), the timing engine that
+planned the task: :func:`realize_task` replays the plan's committed load
+order with the drawn durations, so a null model returns the plan exactly
+and the noisy results converge to the noise-free ones as the noise goes to
+zero.  A ``perturbation`` of ``None`` skips this layer entirely; sweep
+points fold null configs into ``None``, so noise-free sweeps never pay for
+a realization.
 
 Adaptive controller knobs
 -------------------------
@@ -87,6 +91,7 @@ from typing import Dict, List, Mapping, Tuple
 
 from ..core.intertask import PlannedPrefetch
 from ..errors import ConfigurationError, SchedulingError
+from ..scheduling.replay import ReplayState
 from ..scheduling.schedule import (
     ExecutionEntry,
     LoadEntry,
@@ -95,14 +100,22 @@ from ..scheduling.schedule import (
 )
 
 
+#: Fields of :class:`PerturbationConfig` that must be integers.
+_INTEGER_FIELDS = frozenset({"max_retries", "latency_seed", "execution_seed",
+                             "fault_seed"})
+
+
 @dataclass(frozen=True)
 class PerturbationConfig:
     """Seed-deterministic description of one stochastic scenario.
 
-    All-default instances are *null*: they describe the noise-free world
-    and make the simulator take the exact seed code path (bit-identical
-    results, same cache keys).  See the module docstring for the meaning
-    of each knob.
+    All-default instances are *null*: they describe the noise-free world,
+    so realizing a plan under one returns the plan (results bit-identical
+    to ``perturbation=None``, which skips realization), and sweep points
+    fold them into ``None`` (same cache keys).  ``max_retries`` and the
+    seed offsets are integers — the streams are seeded from their text, so
+    ``1`` and ``1.0`` would draw different noise; every other knob is a
+    number.  See the module docstring for the meaning of each knob.
     """
 
     latency_sigma: float = 0.0
@@ -119,11 +132,15 @@ class PerturbationConfig:
 
     def __post_init__(self) -> None:
         for name, value in self.payload().items():
-            # NaN passes every range check below, and an infinite
-            # max_retries would retry a failing load forever.
-            if not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, "
-                                         f"got {value!r}")
+            kind = int if name in _INTEGER_FIELDS else (int, float)
+            # bool is an int subclass, and NaN passes every range check
+            # below.
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or not math.isfinite(value)):
+                raise ConfigurationError(
+                    f"{name} must be a finite "
+                    f"{'integer' if kind is int else 'number'}, "
+                    f"got {value!r}")
         if self.latency_sigma < 0.0:
             raise ConfigurationError("latency_sigma must be >= 0")
         if self.latency_jitter < 0.0:
@@ -234,9 +251,13 @@ class TaskPlan:
     """The perturbation layer's view of one planned task execution.
 
     Every approach attaches one of these to its
-    :class:`~repro.sim.approaches.TaskOutcome`; the realization engine
+    :class:`~repro.sim.approaches.TaskOutcome`; :func:`realize_task`
     re-times exactly this plan under noise (planning is untouched — the
-    whole point is that plans are made from estimates).
+    whole point is that plans are made from estimates).  ``loads`` is the
+    committed port order.  Its leading ``initialization_loads`` entries are
+    the hybrid's initialization phase, loaded back to back before the
+    design schedule is released; ``on_demand`` marks the no-prefetch
+    baseline, whose loads wait until their subtask is otherwise ready.
     """
 
     placed: PlacedSchedule
@@ -245,6 +266,8 @@ class TaskPlan:
     executions: Mapping[str, ExecutionEntry]
     loads: Tuple[LoadEntry, ...]
     intertask_loads: Tuple[PlannedPrefetch, ...] = ()
+    on_demand: bool = False
+    initialization_loads: int = 0
 
 
 @dataclass(frozen=True)
@@ -275,14 +298,23 @@ class RealizedTask:
     loads_retried: int
 
 
-def _previous_on_resource(plan: TaskPlan) -> Dict[str, str]:
-    """Predecessor of every subtask in its resource's ideal ordering."""
-    previous: Dict[str, str] = {}
-    for resource in plan.placed.resources:
-        order = plan.placed.resource_order(resource)
-        for earlier, later in zip(order, order[1:]):
-            previous[later] = earlier
-    return previous
+def _attempt_spans(model: NoiseModel, latency: float) -> List[float]:
+    """Port spans of one in-task load's attempts, in draw order.
+
+    A failed attempt holds the port until the failure is detected, then
+    the load is re-issued immediately; attempts beyond ``max_retries``
+    succeed deterministically (the golden-transfer fallback) — the
+    termination guarantee.  The last span is the successful attempt.
+    """
+    config = model.config
+    spans: List[float] = []
+    while True:
+        duration = model.realized_latency(latency)
+        if len(spans) < config.max_retries and model.draw_load_failure():
+            spans.append(duration * config.failure_detection_fraction)
+        else:
+            spans.append(duration)
+            return spans
 
 
 def realize_task(plan: TaskPlan, model: NoiseModel, latency: float,
@@ -291,79 +323,57 @@ def realize_task(plan: TaskPlan, model: NoiseModel, latency: float,
     """Re-time a planned task execution under the noise model.
 
     The plan's structure is kept verbatim — which subtasks load, where
-    they are placed, the port order of the loads — but every duration is
-    redrawn and every load attempt may fail.  Draw order is deterministic:
-    execution durations are drawn per subtask in name order, latency and
-    fault draws follow the planned port order.
+    they are placed, the committed port order of the loads, the hybrid's
+    initialization phase, on-demand loading — but every duration is
+    redrawn and every load attempt may fail.  The re-timing is a replay
+    of the committed order on :class:`~repro.scheduling.replay.ReplayState`
+    with the drawn durations, so a null model returns the plan.  Draw
+    order is deterministic: execution durations are drawn per subtask in
+    name order, latency and fault draws follow the committed port order.
     """
-    graph = plan.placed.graph
     config = model.config
-    previous = _previous_on_resource(plan)
+    # Without execution noise the kernel keeps the graph's estimates (a
+    # planned entry's finish - start can differ from them in the last bit).
+    durations = None
+    if config.execution_sigma > 0.0:
+        durations = {name: model.realized_duration(entry.finish - entry.start)
+                     for name, entry in sorted(plan.executions.items())}
 
-    durations: Dict[str, float] = {}
-    for name in sorted(plan.executions):
-        entry = plan.executions[name]
-        durations[name] = model.realized_duration(entry.finish - entry.start)
-
-    load_finish: Dict[str, float] = {}
-    exec_start: Dict[str, float] = {}
-    exec_finish: Dict[str, float] = {}
     loads_failed = 0
-    loads_retried = 0
-
-    def finish_of(name: str) -> float:
-        """Realized finish of ``name`` (memoized over the precedence DAG)."""
-        if name in exec_finish:
-            return exec_finish[name]
-        if name in loaded_names and name not in load_finish:
-            raise SchedulingError(
-                f"load of {name!r} is needed before its planned port slot; "
-                "the planned load order is infeasible"
-            )
-        start = release_time
-        for dependency in graph.predecessors(name):
-            start = max(start, finish_of(dependency))
-        prev = previous.get(name)
-        if prev is not None:
-            start = max(start, finish_of(prev))
-        if name in load_finish:
-            start = max(start, load_finish[name])
-        exec_start[name] = start
-        exec_finish[name] = start + durations[name]
-        return exec_finish[name]
-
-    ordered_loads = sorted(plan.loads, key=lambda e: (e.start, e.subtask))
-    loaded_names = {entry.subtask for entry in ordered_loads}
-    port_free = controller_available
-    for entry in ordered_loads:
-        prev = previous.get(entry.subtask)
-        enable = release_time if prev is None else max(release_time,
-                                                       finish_of(prev))
-        start = max(port_free, enable)
-        attempt = 0
-        while True:
-            if attempt > 0:
-                loads_retried += 1
-            duration = model.realized_latency(latency)
-            if attempt < config.max_retries and model.draw_load_failure():
-                # A failed attempt burns port time until the failure is
-                # detected, then the load is re-issued immediately.
-                start += duration * config.failure_detection_fraction
-                loads_failed += 1
-                attempt += 1
-                continue
-            # Attempts beyond max_retries succeed deterministically (the
-            # golden-transfer fallback) — the termination guarantee.
-            finish = start + duration
-            break
-        port_free = finish
-        load_finish[entry.subtask] = finish
-
-    for name in sorted(plan.executions,
-                       key=lambda n: (plan.executions[n].start, n)):
-        finish_of(name)
-
-    makespan = max(exec_finish.values(), default=release_time)
+    load_finish: Dict[str, float] = {}
+    # The initialization phase loads back to back from the port's release;
+    # the design schedule is released once it completes.
+    port_free = max(release_time, controller_available)
+    initialization = plan.initialization_loads
+    for entry in plan.loads[:initialization]:
+        spans = _attempt_spans(model, latency)
+        loads_failed += len(spans) - 1
+        for span in spans:
+            port_free += span
+        load_finish[entry.subtask] = port_free
+    design = plan.loads[initialization:]
+    state = ReplayState.start(
+        plan.placed, latency, [entry.subtask for entry in design],
+        on_demand=plan.on_demand,
+        release_time=port_free if initialization else release_time,
+        controller_available=port_free,
+        durations=durations,
+    )
+    for entry in design:
+        spans = _attempt_spans(model, latency)
+        loads_failed += len(spans) - 1
+        state.issue(entry.subtask, spans)
+    if not state.is_complete:
+        raise SchedulingError(
+            f"the planned loads of graph {plan.placed.graph.name!r} leave "
+            "subtasks waiting for a load that is never issued"
+        )
+    exec_start, exec_finish, design_finish = state.times()
+    load_finish.update(design_finish)
+    # Every failed in-task attempt was retried.
+    loads_retried = loads_failed
+    port_free = state.controller_time
+    makespan = state.makespan
 
     # Realized release of every physical tile the task used (inter-task
     # prefetches must wait for the tile's last subtask to finish).

@@ -71,8 +71,9 @@ class SimulationConfig:
         stochastic run-time layer: approaches plan against design-time
         estimates while the simulator realizes the plans under noise
         (latency noise, execution misestimation, mid-flight load
-        failures).  ``None`` — or a null config — runs the exact
-        noise-free code path, bit-identical to the seed simulator.
+        failures).  ``None`` skips the realization; a null config runs it
+        and, realizing on the planning kernel, returns every plan
+        unchanged (bit-identical results).
     """
 
     iterations: int = 1000
@@ -177,12 +178,9 @@ class SystemSimulator:
         state = SystemState(platform=self.platform)
         trace = SimulationTrace() if self.config.collect_trace else None
         iteration_records: List[IterationRecord] = []
-        # The perturbation layer only engages for a non-null config; the
-        # null/None case runs the exact seed code path (bit-identity).
         perturbation = self.config.perturbation
         self._noise = (NoiseModel(perturbation, self.config.seed)
-                       if perturbation is not None
-                       and not perturbation.is_null else None)
+                       if perturbation is not None else None)
         # Configurations lost to fault injection, pending re-load
         # attribution (the fault_reloads counter).
         self._faulted: Set[str] = set()

@@ -7,7 +7,6 @@ from repro.platform.description import (
     DEFAULT_RECONFIGURATION_LATENCY_MS,
     EnergyModel,
     Platform,
-    coarse_grain_platform,
     virtex2_platform,
 )
 
@@ -50,12 +49,6 @@ class TestPlatform:
     def test_with_latency(self):
         platform = virtex2_platform().with_latency(0.5)
         assert platform.reconfiguration_latency == pytest.approx(0.5)
-
-    def test_new_controller_uses_platform_latency(self):
-        platform = coarse_grain_platform(reconfiguration_latency=0.5)
-        controller = platform.new_controller()
-        record = controller.issue("cfg", tile=0)
-        assert record.duration == pytest.approx(0.5)
 
     def test_new_tile_states(self):
         platform = virtex2_platform(tile_count=5)

@@ -476,6 +476,68 @@ class TestReplayState:
 
 
 # ---------------------------------------------------------------------- #
+# Realization knobs: forced issue and the duration column
+# ---------------------------------------------------------------------- #
+class TestForcedIssue:
+    @settings(max_examples=60, deadline=None)
+    @given(params=problem_params, order_seed=st.integers(0, 1000),
+           on_demand=st.booleans(),
+           release=st.floats(min_value=0.0, max_value=50.0),
+           controller_offset=st.floats(min_value=-5.0, max_value=30.0))
+    def test_committed_order_replays_the_plan(
+            self, params, order_seed, on_demand, release, controller_offset):
+        """Forcing a replay's own load order with one-latency spans and
+        the graph's durations reproduces that replay bit for bit."""
+        placed, latency = build_placed(params)
+        kwargs = dict(on_demand=on_demand, release_time=release,
+                      controller_available=release + controller_offset)
+        planned = replay_schedule(
+            placed, latency, placed.drhw_names,
+            priority_order=shuffled_order(placed, order_seed), **kwargs)
+        durations = {name: placed.graph.execution_time(name)
+                     for name in placed.graph.subtask_names}
+        forced = ReplayState.start(placed, latency, placed.drhw_names,
+                                   durations=durations, **kwargs)
+        for load in planned.loads:
+            forced.issue(load.subtask, [latency])
+        assert_bit_identical(forced.finish(), planned)
+        starts, finishes, load_finishes = forced.times()
+        assert starts == {name: entry.start
+                          for name, entry in planned.executions.items()}
+        assert finishes == {name: entry.finish
+                            for name, entry in planned.executions.items()}
+        assert load_finishes == {load.subtask: load.finish
+                                 for load in planned.loads}
+
+    def test_spans_hold_the_port_in_draw_order(self, chain4):
+        placed = build_initial_schedule(chain4, Platform(tile_count=8))
+        state = ReplayState.start(placed, 4.0, ["s0", "s1"])
+        state.issue("s0", [1.0, 2.5, 4.5])  # two failed attempts
+        state.issue("s1", [4.0])
+        timed = state.finish()
+        assert [(load.start, load.finish) for load in timed.loads] \
+            == [(3.5, 8.0), (8.0, 12.0)]
+        assert timed.executions["s0"].start == 8.0
+
+    def test_duration_column_replaces_execution_times(self, chain4):
+        placed = build_initial_schedule(chain4, Platform(tile_count=8))
+        durations = {name: 1.0 for name in placed.graph.subtask_names}
+        state = ReplayState.start(placed, 4.0, [], durations=durations)
+        assert state.is_complete
+        assert state.makespan == 4.0
+
+    def test_issue_requires_a_tile_queue_head(self, chain4):
+        # Horizon-disabled loads are fine, but a load queued behind an
+        # unexecuted subtask of its tile can never be issued.
+        placed = build_initial_schedule(chain4, Platform(tile_count=1))
+        state = ReplayState.start(placed, 4.0, placed.drhw_names)
+        with pytest.raises(SchedulingError):
+            state.issue("s2", [4.0])
+        with pytest.raises(SchedulingError):
+            state.issue("ghost", [4.0])
+
+
+# ---------------------------------------------------------------------- #
 # Undo correctness: push/pop interleavings equal fresh replays
 # ---------------------------------------------------------------------- #
 class TestUndoCorrectness:

@@ -165,6 +165,20 @@ class TestEndpoints:
         assert body["metrics"]["iterations"] == ITERATIONS
         assert len(body["cache_key"]) == 64
 
+    @pytest.mark.parametrize("perturbation", [
+        {"max_retries": 1.5},
+        {"latency_seed": 1.0},
+        {"latency_sigma": True},
+    ], ids=["float-retries", "float-seed", "bool-sigma"])
+    def test_simulate_mistyped_perturbation_is_400(self, service,
+                                                   perturbation):
+        status, body = service.handle("/simulate", {
+            "workload": SYNTH_PAYLOAD, "tiles": 4, "iterations": ITERATIONS,
+            "perturbation": perturbation,
+        })
+        assert status == 400, body
+        assert "must be" in body["error"]
+
     def test_simulate_cache_hit_with_cache_dir(self, tmp_path):
         service = ReproService(ServiceState(cache_dir=tmp_path))
         payload = {"workload": SYNTH_PAYLOAD, "tiles": 4,

@@ -78,7 +78,7 @@ DIGESTS = {
     "synthetic/clean/hybrid(use_intertask=False)":
         "95ef526899913bca479363faf6366fc14c44bc5f9c0f38772dac3d7e19d95faa",
     "synthetic/noisy/no-prefetch":
-        "f557a995f38957c0857169a1b0ea9d50169f6311bcbd49b9090bd32e18d3cf6b",
+        "50737e3faf29074fcb2811c3dcb4b2c1af60591495c9fbacc95f87e83066c7e3",
     "synthetic/noisy/design-time":
         "54b4c71f71c75439caf7937c9abdedb7a44b4868725f3fdb85caafa90eb1b045",
     "synthetic/noisy/design-time(static_intertask=True)":
@@ -110,7 +110,7 @@ DIGESTS = {
     "pocketgl/clean/hybrid(use_intertask=False)":
         "c34ee57b5c6dd5d9c205c8668ad2b50127c68bade88a66fc769533c2e630a83c",
     "pocketgl/noisy/no-prefetch":
-        "e3136a08d1c01ab66b22df6af86661a496d636c77765cee8f6137d68ca3eebb6",
+        "4145c38d0964bb0316fe0cf7ba2927edb8577b99c12bdb96b5f644901f812d06",
     "pocketgl/noisy/design-time":
         "ae1238b2e992dc4696c0abbd60916e1beb521a558ff0adf7bc1872cf589bf590",
     "pocketgl/noisy/design-time(static_intertask=True)":

@@ -17,7 +17,9 @@ from repro.sim import (
     make_approach,
     simulate,
 )
+from repro.tcm.design_time import TcmDesignTimeScheduler
 from repro.workloads.multimedia import MultimediaWorkload
+from repro.workloads.pocketgl import PocketGLWorkload
 from repro.workloads.synthetic import SyntheticSpec, SyntheticWorkload
 
 NOISY = PerturbationConfig(latency_sigma=0.3, latency_jitter=1.0,
@@ -32,9 +34,9 @@ def small_workload() -> SyntheticWorkload:
 
 def run(approach_name: str, perturbation, *, workload=None, tiles: int = 6,
         iterations: int = 15, seed: int = 2005, fault_rate: float = 0.0,
-        collect_trace: bool = False):
+        collect_trace: bool = False, platform=None, design=None):
     workload = workload or small_workload()
-    platform = Platform(
+    platform = platform or Platform(
         tile_count=tiles,
         reconfiguration_latency=workload.reconfiguration_latency,
     )
@@ -43,8 +45,33 @@ def run(approach_name: str, perturbation, *, workload=None, tiles: int = 6,
                               collect_trace=collect_trace,
                               perturbation=perturbation)
     simulator = SystemSimulator(workload, platform,
-                                make_approach(approach_name), config=config)
+                                make_approach(approach_name), config=config,
+                                design_result=design)
     return simulator.run()
+
+
+#: The workloads the zero-noise properties are checked on.
+WORKLOADS = {
+    "synthetic": small_workload,
+    "multimedia": MultimediaWorkload,
+    "pocketgl": PocketGLWorkload,
+}
+
+
+@pytest.fixture(scope="module")
+def explored():
+    """Keyword arguments of :func:`run` for each workload at 6 tiles."""
+    runs = {}
+    for name, factory in WORKLOADS.items():
+        workload = factory()
+        platform = Platform(
+            tile_count=6,
+            reconfiguration_latency=workload.reconfiguration_latency,
+        )
+        design = TcmDesignTimeScheduler(platform).explore(workload.task_set)
+        runs[name] = dict(workload=workload, platform=platform,
+                          design=design)
+    return runs
 
 
 class TestPerturbationConfig:
@@ -77,6 +104,18 @@ class TestPerturbationConfig:
         dict(latency_jitter=float("inf")),
         dict(execution_sigma=float("nan")),
         dict(max_retries=float("inf")),
+        # Streams are seeded from the seed's text, so 1 and 1.0 would draw
+        # different noise from configs that compare equal.
+        dict(max_retries=1.5),
+        dict(max_retries=2.0),
+        dict(latency_seed=1.0),
+        dict(execution_seed=2.0),
+        dict(fault_seed="3"),
+        dict(max_retries=True),
+        dict(fault_seed=False),
+        dict(latency_sigma=True),
+        dict(load_failure_rate=False),
+        dict(latency_jitter="0.5"),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -144,13 +183,31 @@ class TestNoiseModelStreams:
 
 class TestZeroNoiseBitIdentity:
     @pytest.mark.parametrize("name", sorted(APPROACHES))
-    def test_null_config_matches_no_config(self, name):
-        """perturbation=None and a null config are bit-identical."""
-        plain = run(name, None, fault_rate=0.05, collect_trace=True)
-        nulled = run(name, PerturbationConfig(), fault_rate=0.05,
-                     collect_trace=True)
-        assert plain.metrics == nulled.metrics
-        assert plain.iterations == nulled.iterations
+    def test_null_config_matches_no_config(self, explored, name):
+        """A null config realizes every plan exactly as planned.
+
+        ``None`` skips the realization, a null config runs it, so the
+        realized records must equal the planned ones bit for bit.
+        """
+        for workload, kwargs in explored.items():
+            plain = run(name, None, fault_rate=0.05, collect_trace=True,
+                        **kwargs)
+            nulled = run(name, PerturbationConfig(), fault_rate=0.05,
+                         collect_trace=True, **kwargs)
+            assert plain.metrics == nulled.metrics, workload
+            assert plain.iterations == nulled.iterations, workload
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    @pytest.mark.parametrize("name", sorted(APPROACHES))
+    def test_epsilon_noise_converges_to_plan(self, explored, name,
+                                             workload):
+        """The noisy path is continuous at zero noise, for every approach."""
+        epsilon = PerturbationConfig(latency_sigma=1e-12,
+                                     execution_sigma=1e-12)
+        plain = run(name, None, fault_rate=0.05, **explored[workload])
+        noisy = run(name, epsilon, fault_rate=0.05, **explored[workload])
+        assert noisy.metrics.overhead_percent == pytest.approx(
+            plain.metrics.overhead_percent, rel=1e-9)
 
     def test_zero_noise_records_have_zero_stochastic_counters(self):
         result = run("hybrid", None)
@@ -217,9 +274,10 @@ class TestSimulatorUnderNoise:
                      iterations=20)
         assert result.metrics.total_prefetches_abandoned > 0
 
-    def test_noise_costs_overhead(self):
-        quiet = run("hybrid", None, iterations=20)
-        noisy = run("hybrid", NOISY, iterations=20)
+    @pytest.mark.parametrize("name", sorted(APPROACHES))
+    def test_noise_costs_overhead(self, name):
+        quiet = run(name, None, iterations=20)
+        noisy = run(name, NOISY, iterations=20)
         assert noisy.metrics.total_overhead > quiet.metrics.total_overhead
 
     def test_fault_reloads_are_attributed(self):
