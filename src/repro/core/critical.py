@@ -200,7 +200,7 @@ class CriticalSubtaskSelector:
                 "critical-subtask selection cannot make progress: positive "
                 "overhead remains but every DRHW subtask is already critical"
             )
-        order_index = {name: i for i, name in enumerate(graph.subtask_names)}
+        order_index = graph.core.index
         if self.pick == "min-weight":
             return min(candidates,
                        key=lambda n: (weights[n], order_index[n]))

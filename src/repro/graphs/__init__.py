@@ -1,14 +1,9 @@
 """Subtask-graph modelling, analysis, generation and serialization."""
 
 from .analysis import (
-    alap_times,
-    asap_finish_times,
     asap_times,
-    critical_path,
-    is_critical,
     max_parallelism,
     parallelism_profile,
-    slack,
     subtask_weights,
     weight_ordered_subtasks,
 )
@@ -41,13 +36,10 @@ __all__ = [
     "Subtask",
     "TaskGraph",
     "ValidationReport",
-    "alap_times",
-    "asap_finish_times",
     "asap_times",
     "assert_valid",
     "chain",
     "chain_graph",
-    "critical_path",
     "drhw_subtask",
     "fork_join_graph",
     "graph_from_dict",
@@ -55,7 +47,6 @@ __all__ = [
     "graph_to_dict",
     "graph_to_json",
     "independent_set",
-    "is_critical",
     "isp_subtask",
     "layered_dag",
     "load_graph",
@@ -66,7 +57,6 @@ __all__ = [
     "save_graph",
     "scaled_family",
     "series_parallel",
-    "slack",
     "subtask_weights",
     "validate_graph",
     "weight_ordered_subtasks",

@@ -6,13 +6,12 @@ quantities the paper's heuristics rely on:
 
 * **ASAP times** — earliest possible start of each subtask assuming
   unlimited resources.
-* **ALAP times** — latest possible start of each subtask that still meets a
-  given makespan (by default the critical-path length).
 * **Subtask weights** — the paper assigns to every subtask the length of the
   longest path from the *beginning of its execution* to the end of the whole
-  graph (an As-Late-As-Possible view).  Subtasks on the critical path always
-  carry the largest weights.  The critical-subtask selection and the
-  initialization-phase load order are both driven by these weights.
+  graph.  Subtasks on the critical path always carry the largest weights.
+  The critical-subtask selection and the initialization-phase load order are
+  both driven by these weights, which the graph computes once into its
+  :class:`~repro.graphs.taskgraph.GraphCore`.
 """
 
 from __future__ import annotations
@@ -35,81 +34,18 @@ def asap_times(graph: TaskGraph) -> Dict[str, float]:
     return start
 
 
-def asap_finish_times(graph: TaskGraph) -> Dict[str, float]:
-    """Earliest finish time of each subtask with unlimited resources."""
-    starts = asap_times(graph)
-    return {name: starts[name] + graph.execution_time(name) for name in starts}
-
-
 def subtask_weights(graph: TaskGraph) -> Dict[str, float]:
     """Longest path (in execution time) from each subtask's start to the end.
 
     This is the weight metric of the paper: ``weight(s)`` is the execution
     time of ``s`` plus the longest chain of successors after it.  It equals
     the critical-path length for subtasks on the critical path and decreases
-    for less critical subtasks.
+    for less critical subtasks.  The result is a fresh dict in reverse
+    topological order.
     """
-    weight: Dict[str, float] = {}
-    for name in reversed(graph.topological_order()):
-        tail = max((weight[succ] for succ in graph.successors(name)),
-                   default=0.0)
-        weight[name] = graph.execution_time(name) + tail
-    return weight
-
-
-def alap_times(graph: TaskGraph, makespan: Optional[float] = None) -> Dict[str, float]:
-    """Latest start time of each subtask meeting ``makespan``.
-
-    When ``makespan`` is omitted, the critical-path length is used, in which
-    case critical-path subtasks have ASAP time equal to ALAP time (zero
-    slack).
-    """
-    target = graph.critical_path_length() if makespan is None else makespan
-    if makespan is not None and makespan < graph.critical_path_length():
-        raise GraphError(
-            f"requested makespan {makespan} is below the critical-path length "
-            f"{graph.critical_path_length()} of graph {graph.name!r}"
-        )
-    weights = subtask_weights(graph)
-    return {name: target - weights[name] for name in weights}
-
-
-def slack(graph: TaskGraph, makespan: Optional[float] = None) -> Dict[str, float]:
-    """Scheduling slack (ALAP start minus ASAP start) of each subtask."""
-    asap = asap_times(graph)
-    alap = alap_times(graph, makespan)
-    return {name: alap[name] - asap[name] for name in asap}
-
-
-def critical_path(graph: TaskGraph) -> List[str]:
-    """One longest path through the graph, as an ordered list of names.
-
-    Ties are broken deterministically by following, at every step, the
-    successor with the largest weight (and by insertion order among equal
-    weights).
-    """
-    if len(graph) == 0:
-        return []
-    weights = subtask_weights(graph)
-    order_index = {name: i for i, name in enumerate(graph.subtask_names)}
-
-    def best(names: Sequence[str]) -> str:
-        return max(names, key=lambda n: (weights[n], -order_index[n]))
-
-    path: List[str] = []
-    current = best(graph.sources())
-    path.append(current)
-    while True:
-        successors = graph.successors(current)
-        if not successors:
-            return path
-        current = best(successors)
-        path.append(current)
-
-
-def is_critical(graph: TaskGraph, name: str) -> bool:
-    """``True`` when ``name`` lies on a longest path (zero slack)."""
-    return abs(slack(graph)[name]) < 1e-9
+    core = graph.core
+    names, weights = core.names, core.weights
+    return {names[sid]: weights[sid] for sid in reversed(core.order)}
 
 
 def parallelism_profile(graph: TaskGraph, resolution: int = 128) -> List[int]:
@@ -151,12 +87,12 @@ def weight_ordered_subtasks(graph: TaskGraph,
     subtask with the greatest weight is loaded first)"; this helper provides
     that deterministic order.
     """
-    weights = subtask_weights(graph)
-    order_index = {name: i for i, name in enumerate(graph.subtask_names)}
-    candidates = list(names) if names is not None else graph.subtask_names
+    core = graph.core
+    index, weights = core.index, core.weights
+    candidates = list(names) if names is not None else list(core.names)
     for name in candidates:
-        if name not in weights:
+        if name not in index:
             raise GraphError(
                 f"subtask {name!r} is not part of graph {graph.name!r}"
             )
-    return sorted(candidates, key=lambda n: (-weights[n], order_index[n]))
+    return sorted(candidates, key=lambda n: (-weights[index[n]], index[n]))

@@ -10,9 +10,16 @@ embedded instruction-set processor (ISP), which needs no reconfiguration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
+
+
+def is_finite_number(value: object) -> bool:
+    """``True`` for a finite int or float; ``bool``, NaN and infinities are
+    not numbers a graph may carry (``nan <= 0`` is False, ``True`` is 1)."""
+    return not isinstance(value, bool) and math.isfinite(value)
 
 
 class ResourceClass(str, Enum):
@@ -63,14 +70,14 @@ class Subtask:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("subtask name must be a non-empty string")
-        if self.execution_time <= 0:
+        if not is_finite_number(self.execution_time) or self.execution_time <= 0:
             raise ValueError(
-                f"subtask {self.name!r} must have a positive execution time, "
-                f"got {self.execution_time!r}"
+                f"subtask {self.name!r} must have a finite positive execution "
+                f"time, got {self.execution_time!r}"
             )
-        if self.energy < 0:
+        if not is_finite_number(self.energy) or self.energy < 0:
             raise ValueError(
-                f"subtask {self.name!r} must have non-negative energy, "
+                f"subtask {self.name!r} must have finite non-negative energy, "
                 f"got {self.energy!r}"
             )
         if self.configuration is None:

@@ -5,13 +5,19 @@ a directed acyclic graph whose nodes are :class:`~repro.graphs.subtask.Subtask`
 instances and whose edges express precedence (optionally annotated with the
 amount of data communicated between producer and consumer, used by the ICN
 communication model).
+
+The graph keeps one adjacency in plain dicts.  Everything derived from it
+(dense subtask ids, the topological order, the subtask weights) is computed
+once into a :class:`GraphCore` on first use and cached on the graph until
+the next ``add_subtask``/``add_dependency``.  Graphs are built and then only
+read, so in practice each graph builds its core once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from heapq import heappop, heappush
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ..errors import (
     CycleError,
@@ -19,16 +25,38 @@ from ..errors import (
     GraphError,
     UnknownSubtaskError,
 )
-from .subtask import ResourceClass, Subtask
+from .subtask import ResourceClass, Subtask, is_finite_number
+
+
+class GraphCore(NamedTuple):
+    """The structural answers of one :class:`TaskGraph`, as plain values.
+
+    Subtask ``i`` is the ``i``-th subtask added: ``names[i]`` is its name
+    and ``index`` maps a name back to its id.  ``preds[i]``/``succs[i]``
+    are the ids of its direct neighbours in edge insertion order.
+    ``order`` is the topological order as ids: the ready subtask added
+    first always goes first.  ``weights[i]`` is the paper's subtask weight,
+    the longest execution-time path from the start of subtask ``i`` to the
+    end of the graph.
+
+    A core holds only tuples, a dict and numbers, so graphs that carry one
+    still pickle (worker processes receive graphs).
+    """
+
+    names: Tuple[str, ...]
+    index: Dict[str, int]
+    preds: Tuple[Tuple[int, ...], ...]
+    succs: Tuple[Tuple[int, ...], ...]
+    order: Tuple[int, ...]
+    weights: Tuple[float, ...]
 
 
 class TaskGraph:
     """A directed acyclic graph of subtasks.
 
-    The graph is a thin, validated wrapper around a :class:`networkx.DiGraph`
-    so that the rest of the library can rely on a stable, typed interface
-    while analyses (longest paths, topological orders, ...) can still use the
-    full networkx toolbox through :attr:`nx_graph`.
+    ``add_dependency`` refuses any edge that would close a cycle, so a
+    graph is acyclic at every point of its construction.  Neighbour queries
+    read the adjacency; ids, order and weights come from :attr:`core`.
     """
 
     def __init__(self, name: str, subtasks: Iterable[Subtask] = (),
@@ -36,8 +64,12 @@ class TaskGraph:
         if not name:
             raise GraphError("task graph name must be a non-empty string")
         self.name = name
-        self._graph = nx.DiGraph()
         self._subtasks: Dict[str, Subtask] = {}
+        #: producer -> {consumer: data_size}, in edge insertion order.
+        self._succs: Dict[str, Dict[str, float]] = {}
+        #: consumer -> [producers], in edge insertion order.
+        self._preds: Dict[str, List[str]] = {}
+        self._core: Optional[GraphCore] = None
         for subtask in subtasks:
             self.add_subtask(subtask)
         for producer, consumer in dependencies:
@@ -59,7 +91,9 @@ class TaskGraph:
                 f"subtask {subtask.name!r} already present in graph {self.name!r}"
             )
         self._subtasks[subtask.name] = subtask
-        self._graph.add_node(subtask.name)
+        self._succs[subtask.name] = {}
+        self._preds[subtask.name] = []
+        self._core = None
         return subtask
 
     def add_dependency(self, producer: str, consumer: str,
@@ -68,7 +102,8 @@ class TaskGraph:
 
         ``data_size`` is the amount of data (in abstract units, e.g. bytes)
         transferred over the interconnection network; it is only consulted by
-        the optional ICN communication-latency model.
+        the optional ICN communication-latency model.  Adding an existing
+        edge again only updates its ``data_size``.
         """
         for endpoint in (producer, consumer):
             if endpoint not in self._subtasks:
@@ -80,23 +115,71 @@ class TaskGraph:
             raise CycleError(
                 f"self-dependency on subtask {producer!r} is not allowed"
             )
-        if data_size < 0:
-            raise GraphError("data_size must be non-negative")
-        self._graph.add_edge(producer, consumer, data_size=data_size)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(producer, consumer)
-            raise CycleError(
-                f"adding dependency {producer!r} -> {consumer!r} would create "
-                f"a cycle in graph {self.name!r}"
+        if not is_finite_number(data_size) or data_size < 0:
+            raise GraphError(
+                f"data_size must be a finite non-negative number, "
+                f"got {data_size!r}"
             )
+        consumers = self._succs[producer]
+        if consumer not in consumers:
+            if self._reaches(consumer, producer):
+                raise CycleError(
+                    f"adding dependency {producer!r} -> {consumer!r} would "
+                    f"create a cycle in graph {self.name!r}"
+                )
+            self._preds[consumer].append(producer)
+        consumers[consumer] = data_size
+        self._core = None
+
+    def _reaches(self, start: str, goal: str) -> bool:
+        """Whether ``goal`` is a descendant of ``start``."""
+        seen = {start}
+        stack = [start]
+        while stack:
+            for successor in self._succs[stack.pop()]:
+                if successor == goal:
+                    return True
+                if successor not in seen:
+                    seen.add(successor)
+                    stack.append(successor)
+        return False
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     @property
-    def nx_graph(self) -> nx.DiGraph:
-        """The underlying :class:`networkx.DiGraph` (nodes are subtask names)."""
-        return self._graph
+    def core(self) -> GraphCore:
+        """The cached :class:`GraphCore`, built on first use after an edit."""
+        core = self._core
+        if core is None:
+            core = self._core = self._build_core()
+        return core
+
+    def _build_core(self) -> GraphCore:
+        names = tuple(self._subtasks)
+        index = {name: sid for sid, name in enumerate(names)}
+        preds = tuple(tuple(index[p] for p in self._preds[name])
+                      for name in names)
+        succs = tuple(tuple(index[s] for s in self._succs[name])
+                      for name in names)
+        # Kahn's algorithm with a min-heap of ids: among the ready subtasks
+        # the one added first goes next, which makes the order unique.
+        waiting = [len(p) for p in preds]
+        ready = [sid for sid, count in enumerate(waiting) if not count]
+        order: List[int] = []
+        while ready:
+            sid = heappop(ready)
+            order.append(sid)
+            for successor in succs[sid]:
+                waiting[successor] -= 1
+                if not waiting[successor]:
+                    heappush(ready, successor)
+        weights = [0.0] * len(names)
+        for sid in reversed(order):
+            tail = max((weights[s] for s in succs[sid]), default=0.0)
+            weights[sid] = self._subtasks[names[sid]].execution_time + tail
+        return GraphCore(names, index, preds, succs, tuple(order),
+                         tuple(weights))
 
     def __len__(self) -> int:
         return len(self._subtasks)
@@ -147,13 +230,20 @@ class TaskGraph:
         return list(seen)
 
     def dependencies(self) -> List[Tuple[str, str]]:
-        """All precedence edges as ``(producer, consumer)`` pairs."""
-        return list(self._graph.edges())
+        """All precedence edges as ``(producer, consumer)`` pairs.
+
+        Producers come in subtask insertion order and each producer's
+        consumers in edge insertion order; serialized graphs, and so every
+        cache key derived from them, depend on this order.
+        """
+        return [(producer, consumer)
+                for producer, consumers in self._succs.items()
+                for consumer in consumers]
 
     def data_size(self, producer: str, consumer: str) -> float:
         """Data transferred over the edge ``producer -> consumer``."""
         try:
-            return float(self._graph.edges[producer, consumer]["data_size"])
+            return float(self._succs[producer][consumer])
         except KeyError as exc:
             raise GraphError(
                 f"no dependency {producer!r} -> {consumer!r} in graph "
@@ -163,20 +253,22 @@ class TaskGraph:
     def predecessors(self, name: str) -> List[str]:
         """Names of the direct predecessors of ``name``."""
         self.subtask(name)
-        return list(self._graph.predecessors(name))
+        return list(self._preds[name])
 
     def successors(self, name: str) -> List[str]:
         """Names of the direct successors of ``name``."""
         self.subtask(name)
-        return list(self._graph.successors(name))
+        return list(self._succs[name])
 
     def sources(self) -> List[str]:
         """Subtasks with no predecessors."""
-        return [n for n in self._subtasks if self._graph.in_degree(n) == 0]
+        return [name for name, producers in self._preds.items()
+                if not producers]
 
     def sinks(self) -> List[str]:
         """Subtasks with no successors."""
-        return [n for n in self._subtasks if self._graph.out_degree(n) == 0]
+        return [name for name, consumers in self._succs.items()
+                if not consumers]
 
     def topological_order(self) -> List[str]:
         """A deterministic topological ordering of the subtask names.
@@ -185,12 +277,9 @@ class TaskGraph:
         therefore every scheduler built on top of this method) are fully
         deterministic.
         """
-        order_index = {name: i for i, name in enumerate(self._subtasks)}
-        return list(
-            nx.lexicographical_topological_sort(
-                self._graph, key=lambda n: order_index[n]
-            )
-        )
+        core = self.core
+        names = core.names
+        return [names[sid] for sid in core.order]
 
     def execution_time(self, name: str) -> float:
         """Execution time of the subtask called ``name``."""
@@ -208,24 +297,15 @@ class TaskGraph:
         execution time" when an unlimited number of tiles is available and
         reconfiguration is free.
         """
-        if not self._subtasks:
-            return 0.0
-        finish: Dict[str, float] = {}
-        for name in self.topological_order():
-            ready = max((finish[p] for p in self._graph.predecessors(name)),
-                        default=0.0)
-            finish[name] = ready + self._subtasks[name].execution_time
-        return max(finish.values())
-
-    def ancestors(self, name: str) -> List[str]:
-        """All transitive predecessors of ``name``."""
-        self.subtask(name)
-        return sorted(nx.ancestors(self._graph, name))
-
-    def descendants(self, name: str) -> List[str]:
-        """All transitive successors of ``name``."""
-        self.subtask(name)
-        return sorted(nx.descendants(self._graph, name))
+        # Summed forward, as a schedule adds; ``max(core.weights)`` sums
+        # each path backward and can differ in the last bit.
+        core = self.core
+        finish = [0.0] * len(core.names)
+        for sid in core.order:
+            ready = max((finish[p] for p in core.preds[sid]), default=0.0)
+            finish[sid] = (ready
+                           + self._subtasks[core.names[sid]].execution_time)
+        return max(finish, default=0.0)
 
     # ------------------------------------------------------------------ #
     # Transformation
@@ -235,41 +315,9 @@ class TaskGraph:
         clone = TaskGraph(name or self.name)
         for subtask in self._subtasks.values():
             clone.add_subtask(subtask)
-        for producer, consumer, data in self._graph.edges(data=True):
-            clone.add_dependency(producer, consumer,
-                                 data_size=data.get("data_size", 0.0))
-        return clone
-
-    def scaled(self, factor: float, name: Optional[str] = None) -> "TaskGraph":
-        """Return a copy with all execution times multiplied by ``factor``."""
-        clone = TaskGraph(name or self.name)
-        for subtask in self._subtasks.values():
-            clone.add_subtask(subtask.scaled(factor))
-        for producer, consumer, data in self._graph.edges(data=True):
-            clone.add_dependency(producer, consumer,
-                                 data_size=data.get("data_size", 0.0))
-        return clone
-
-    def relabeled(self, prefix: str, name: Optional[str] = None) -> "TaskGraph":
-        """Return a copy whose subtask and configuration names get ``prefix``.
-
-        Useful when several instances of structurally identical graphs must
-        coexist in one workload without sharing configurations.
-        """
-        clone = TaskGraph(name or f"{prefix}{self.name}")
-        for subtask in self._subtasks.values():
-            clone.add_subtask(
-                Subtask(
-                    name=f"{prefix}{subtask.name}",
-                    execution_time=subtask.execution_time,
-                    resource=subtask.resource,
-                    configuration=f"{prefix}{subtask.configuration}",
-                    energy=subtask.energy,
-                )
-            )
-        for producer, consumer, data in self._graph.edges(data=True):
-            clone.add_dependency(f"{prefix}{producer}", f"{prefix}{consumer}",
-                                 data_size=data.get("data_size", 0.0))
+        for producer, consumers in self._succs.items():
+            for consumer, data_size in consumers.items():
+                clone.add_dependency(producer, consumer, data_size=data_size)
         return clone
 
     # ------------------------------------------------------------------ #
@@ -278,7 +326,7 @@ class TaskGraph:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"TaskGraph(name={self.name!r}, subtasks={len(self)}, "
-            f"dependencies={self._graph.number_of_edges()})"
+            f"dependencies={len(self.dependencies())})"
         )
 
 

@@ -1,9 +1,10 @@
 """Structural validation of subtask graphs.
 
-The constructors in :mod:`repro.graphs.taskgraph` already reject cycles and
-duplicate names eagerly; this module adds the whole-graph checks that are
-only meaningful once construction has finished (connectivity, sensible
-execution times, configuration sharing rules, ...).  Schedulers call
+The constructors in :mod:`repro.graphs.taskgraph` already reject duplicate
+names eagerly, and ``add_dependency`` refuses any edge that would close a
+cycle, so every graph is acyclic; this module adds the whole-graph checks
+that are only meaningful once construction has finished (connectivity,
+sensible execution times, configuration sharing rules, ...).  Schedulers call
 :func:`validate_graph` before accepting a graph so that malformed inputs are
 reported with a clear message instead of surfacing as obscure scheduling
 failures.
@@ -13,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import List
-
-import networkx as nx
 
 from ..errors import GraphError
 from .subtask import ResourceClass
@@ -75,15 +74,11 @@ def validate_graph(graph: TaskGraph, require_drhw: bool = False) -> ValidationRe
                 f"DRHW subtask {subtask.name!r} has no configuration identifier"
             )
 
-    if not nx.is_directed_acyclic_graph(graph.nx_graph):
-        report.errors.append("graph contains a dependency cycle")
-
     if require_drhw and not graph.drhw_subtasks:
         report.errors.append("graph has no DRHW subtasks")
 
-    undirected = graph.nx_graph.to_undirected()
-    if len(graph) > 1 and not nx.is_connected(undirected):
-        components = nx.number_connected_components(undirected)
+    components = _component_count(graph)
+    if components > 1:
         report.warnings.append(
             f"graph is disconnected ({components} weakly connected components)"
         )
@@ -98,6 +93,22 @@ def validate_graph(graph: TaskGraph, require_drhw: bool = False) -> ValidationRe
             )
 
     return report
+
+
+def _component_count(graph: TaskGraph) -> int:
+    """Number of weakly connected components of ``graph`` (union-find)."""
+    parent = list(range(len(graph)))
+
+    def root(sid: int) -> int:
+        while parent[sid] != sid:
+            parent[sid] = parent[parent[sid]]
+            sid = parent[sid]
+        return sid
+
+    for sid, successors in enumerate(graph.core.succs):
+        for successor in successors:
+            parent[root(successor)] = root(sid)
+    return sum(1 for sid, up in enumerate(parent) if sid == up)
 
 
 def assert_valid(graph: TaskGraph, require_drhw: bool = False) -> TaskGraph:

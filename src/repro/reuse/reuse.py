@@ -18,7 +18,7 @@ same tile overwrites whatever was loaded before it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import PlatformError
 from ..graphs.analysis import subtask_weights
@@ -72,8 +72,7 @@ class ReuseModule:
 
     def analyze(self, placed: PlacedSchedule, tiles: Sequence[TileState],
                 now: float = 0.0,
-                upcoming_configurations: Iterable[str] = (),
-                weights: Optional[Mapping[str, float]] = None) -> ReuseDecision:
+                upcoming_configurations: Iterable[str] = ()) -> ReuseDecision:
         """Decide the tile binding and the reusable subtasks for one task.
 
         Parameters
@@ -87,9 +86,9 @@ class ReuseModule:
         upcoming_configurations:
             Configurations that will be needed by subsequent tasks; the
             replacement policy avoids evicting them when possible.
-        weights:
-            Optional subtask weights used to prioritize which logical tile
-            gets matched first; defaults to the ALAP weights of the graph.
+
+        Logical tiles are matched in decreasing subtask weight of their
+        first subtask.
         """
         logical_tiles = placed.tiles_used
         if len(logical_tiles) > len(tiles):
@@ -98,7 +97,7 @@ class ReuseModule:
                 f"{len(tiles)} physical tiles exist"
             )
         graph = placed.graph
-        weight_map = dict(weights) if weights is not None else subtask_weights(graph)
+        weight_map = subtask_weights(graph)
         first_on_tile = placed.first_on_tile()
         operations = 0
 

@@ -80,7 +80,7 @@ class ListScheduler:
             )
 
         weights = subtask_weights(graph)
-        insertion_index = {name: i for i, name in enumerate(graph.subtask_names)}
+        insertion_index = graph.core.index
 
         tiles = [tile_resource(i) for i in range(self.platform.tile_count)]
         isps = [isp_resource(i) for i in range(self.platform.isp_count)]

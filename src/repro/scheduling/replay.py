@@ -193,10 +193,11 @@ class _ReplayCore:
     """Static, per-placed-schedule context shared by every replay state.
 
     Everything here is immutable once built; replay states only reference
-    it.  Building it interns every subtask name and resource to a dense
-    integer id and hoists the repeated graph/placement lookups (networkx
-    predecessor queries, position scans) out of the hot dispatch loop —
-    the state machine then runs entirely on int-indexed tuples.
+    it.  Subtask ids, names and the pred/succ id tuples come from the
+    graph's :attr:`~repro.graphs.taskgraph.TaskGraph.core`; building this
+    core interns every resource to a dense integer id and hoists the
+    repeated placement lookups (position scans) out of the hot dispatch
+    loop — the state machine then runs entirely on int-indexed tuples.
 
     The core deliberately does **not** reference the placed schedule it
     was derived from: it is the value of weak-keyed / digest-keyed cache
@@ -215,11 +216,10 @@ class _ReplayCore:
     def __init__(self, placed: PlacedSchedule) -> None:
         graph = placed.graph
         self.graph = graph
-        names: Tuple[str, ...] = tuple(graph.subtask_names)
-        self.names = names
+        graph_core = graph.core
+        names = self.names = graph_core.names
         self.total = len(names)
-        index: Dict[str, int] = {name: i for i, name in enumerate(names)}
-        self.index = index
+        index = self.index = graph_core.index
         # Rank of each id under ascending-name order: any tie-break "by
         # name" is equivalently (and much more cheaply) "by sorted_rank".
         rank = array("l", [0] * self.total)
@@ -227,24 +227,16 @@ class _ReplayCore:
             rank[index[name]] = position
         self.sorted_rank = tuple(rank)
         self.resources: Tuple[ResourceId, ...] = tuple(placed.resources)
-        resource_index = {resource: rid
-                          for rid, resource in enumerate(self.resources)}
         self.sequences: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(index[name] for name in placed.resource_order(resource))
             for resource in self.resources
         )
         self.seq_len = tuple(len(sequence) for sequence in self.sequences)
-        self.preds: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(index[p] for p in graph.predecessors(name))
-            for name in names
-        )
-        self.succs: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(index[s] for s in graph.successors(name))
-            for name in names
-        )
+        self.preds = graph_core.preds
+        self.succs = graph_core.succs
         self.pred_count = tuple(len(p) for p in self.preds)
         self.exec_time: Tuple[float, ...] = tuple(
-            graph.execution_time(name) for name in names
+            subtask.execution_time for subtask in graph
         )
         self.ideal_start: Tuple[float, ...] = tuple(
             placed.ideal_start(name) for name in names
@@ -257,18 +249,14 @@ class _ReplayCore:
                 resource_col[sid] = rid
         self.position = tuple(position_col)
         self.resource_of = tuple(resource_col)
-        configuration_by_name = {
-            subtask.name: subtask.configuration for subtask in graph
-        }
         self.configuration: Tuple[str, ...] = tuple(
-            configuration_by_name[name] for name in names
+            subtask.configuration for subtask in graph
         )
         self.drhw_names = frozenset(placed.drhw_names)
         mask = 0
         for name in self.drhw_names:
             mask |= 1 << index[name]
         self.drhw_mask = mask
-        del resource_index  # interning scratch
 
 
 #: Weak per-schedule-identity cache of the static replay context.

@@ -58,7 +58,10 @@ Protocol
 --------
 JSON over HTTP; every response body is a JSON object.  Request bodies
 must be strict JSON: ``NaN``, ``Infinity``, ``-Infinity`` and numbers
-too large for a float get a 400.  Errors are
+too large for a float get a 400.  Fields are typed strictly: an integer
+field takes neither ``true`` nor ``1.5``, a number field takes no
+boolean, a flag takes only ``true``/``false`` and a name only a string;
+anything else is a 400, never a coerced value.  Errors are
 ``{"error": "..."}`` with status 400 (bad request), 404 (unknown
 endpoint), 429 (shed; plus ``"retry_after"`` and a ``Retry-After``
 header) or 500.  Responses answered from another request's in-flight

@@ -74,6 +74,45 @@ def _check_keys(payload: Dict[str, object], allowed: Tuple[str, ...],
                          f"allowed: {sorted(allowed)}")
 
 
+# Strict field parsers: JSON gives ``True`` for ``true`` and Python's
+# ``int(1.9)``, ``int("7")`` and ``bool("false")`` all answer, so any
+# coercion turns a mistyped field into a silently different request.
+def _int(value: object, what: str) -> int:
+    """An integer, never a bool or a float."""
+    if type(value) is not int:
+        raise BadRequest(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _float(value: object, what: str) -> float:
+    """An int or a float, never a bool."""
+    if type(value) not in (int, float):
+        raise BadRequest(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _bool(value: object, what: str) -> bool:
+    """``true`` or ``false`` only."""
+    if type(value) is not bool:
+        raise BadRequest(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _str(value: object, what: str) -> str:
+    """A string, never a number."""
+    if type(value) is not str:
+        raise BadRequest(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _list(parse: Callable[[object, str], object], value: object,
+          what: str) -> list:
+    """A non-empty list whose every entry ``parse`` accepts."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise BadRequest(f"{what} must be a non-empty list")
+    return [parse(item, f"{what} entries") for item in value]
+
+
 def workload_spec_from(value: object) -> WorkloadSpec:
     """A workload reference: a registry name or ``{name, options}``."""
     if isinstance(value, str):
@@ -84,7 +123,7 @@ def workload_spec_from(value: object) -> WorkloadSpec:
         raise BadRequest("workload object needs a 'name'")
     options = _require_mapping(data.get("options", {}), "workload options")
     try:
-        return WorkloadSpec.of(str(data["name"]), **options)
+        return WorkloadSpec.of(_str(data["name"], "workload name"), **options)
     except TypeError as exc:
         raise BadRequest(f"bad workload options: {exc}")
 
@@ -100,10 +139,10 @@ def approach_spec_from(value: object) -> ApproachSpec:
     options = _require_mapping(data.get("options", {}), "approach options")
     replacement = data.get("replacement")
     if replacement is not None:
-        replacement = str(replacement)
+        replacement = _str(replacement, "'replacement'")
     try:
-        return ApproachSpec.of(str(data["name"]), replacement=replacement,
-                               **options)
+        return ApproachSpec.of(_str(data["name"], "approach name"),
+                               replacement=replacement, **options)
     except TypeError as exc:
         raise BadRequest(f"bad approach options: {exc}")
 
@@ -133,28 +172,26 @@ def point_from_payload(payload: Dict[str, object]) -> SweepPoint:
     _check_keys(payload, _SIMULATE_FIELDS, "simulate")
     if "tile_count" in payload and "tiles" in payload:
         raise BadRequest("give either 'tile_count' or 'tiles', not both")
-    try:
-        return SweepPoint(
-            workload=workload_spec_from(payload.get("workload",
-                                                    "multimedia")),
-            approach=approach_spec_from(payload.get("approach", "hybrid")),
-            tile_count=int(payload.get("tile_count",
-                                       payload.get("tiles", 8))),
-            seed=int(payload.get("seed", 2005)),
-            iterations=int(payload.get("iterations", 300)),
-            point_selection=str(payload.get("point_selection", "fastest")),
-            deadline=(None if payload.get("deadline") is None
-                      else float(payload["deadline"])),
-            keep_state_between_iterations=bool(
-                payload.get("keep_state_between_iterations", True)
-            ),
-            configuration_fault_rate=float(
-                payload.get("configuration_fault_rate", 0.0)
-            ),
-            perturbation=perturbation_from(payload.get("perturbation")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise BadRequest(f"bad simulate payload: {exc}")
+    deadline = payload.get("deadline")
+    return SweepPoint(
+        workload=workload_spec_from(payload.get("workload", "multimedia")),
+        approach=approach_spec_from(payload.get("approach", "hybrid")),
+        tile_count=_int(payload.get("tile_count", payload.get("tiles", 8)),
+                        "'tile_count'"),
+        seed=_int(payload.get("seed", 2005), "'seed'"),
+        iterations=_int(payload.get("iterations", 300), "'iterations'"),
+        point_selection=_str(payload.get("point_selection", "fastest"),
+                             "'point_selection'"),
+        deadline=None if deadline is None else _float(deadline,
+                                                      "'deadline'"),
+        keep_state_between_iterations=_bool(
+            payload.get("keep_state_between_iterations", True),
+            "'keep_state_between_iterations'"),
+        configuration_fault_rate=_float(
+            payload.get("configuration_fault_rate", 0.0),
+            "'configuration_fault_rate'"),
+        perturbation=perturbation_from(payload.get("perturbation")),
+    )
 
 
 def _finite_number(text: str) -> float:
@@ -164,24 +201,6 @@ def _finite_number(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text!r}")
     return value
-
-
-def _float_list(value: object, what: str) -> List[float]:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise BadRequest(f"{what} must be a non-empty list")
-    try:
-        return [float(item) for item in value]
-    except (TypeError, ValueError):
-        raise BadRequest(f"{what} entries must be numbers")
-
-
-def _int_list(value: object, what: str) -> List[int]:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise BadRequest(f"{what} must be a non-empty list")
-    try:
-        return [int(item) for item in value]
-    except (TypeError, ValueError):
-        raise BadRequest(f"{what} entries must be integers")
 
 
 # --------------------------------------------------------------------- #
@@ -280,11 +299,9 @@ class ReproService:
         task = payload.get("task")
         if not isinstance(task, str):
             raise BadRequest("schedule payload needs a 'task' name")
-        try:
-            tiles = int(payload.get("tile_count", payload.get("tiles", 8)))
-            latency = float(payload.get("latency", 4.0))
-        except (TypeError, ValueError) as exc:
-            raise BadRequest(f"bad schedule payload: {exc}")
+        tiles = _int(payload.get("tile_count", payload.get("tiles", 8)),
+                     "'tile_count'")
+        latency = _float(payload.get("latency", 4.0), "'latency'")
         reused_raw = payload.get("reused", [])
         if (not isinstance(reused_raw, (list, tuple))
                 or not all(isinstance(item, str) for item in reused_raw)):
@@ -354,16 +371,14 @@ class ReproService:
         if not isinstance(approaches_raw, (list, tuple)) or not approaches_raw:
             raise BadRequest("'approaches' must be a non-empty list")
         approaches = [approach_spec_from(item) for item in approaches_raw]
-        levels = _float_list(payload.get("levels", [0.0, 0.15, 0.3]),
-                             "'levels'")
-        seeds = _int_list(payload.get("seeds", [2005, 2006, 2007]),
-                          "'seeds'")
-        try:
-            tiles = int(payload.get("tile_count", payload.get("tiles", 8)))
-            iterations = int(payload.get("iterations", 60))
-        except (TypeError, ValueError) as exc:
-            raise BadRequest(f"bad robustness payload: {exc}")
-        metric = str(payload.get("metric", "overhead_percent"))
+        levels = _list(_float, payload.get("levels", [0.0, 0.15, 0.3]),
+                       "'levels'")
+        seeds = _list(_int, payload.get("seeds", [2005, 2006, 2007]),
+                      "'seeds'")
+        tiles = _int(payload.get("tile_count", payload.get("tiles", 8)),
+                     "'tile_count'")
+        iterations = _int(payload.get("iterations", 60), "'iterations'")
+        metric = _str(payload.get("metric", "overhead_percent"), "'metric'")
         valid_metrics = set(SimulationMetrics.__dataclass_fields__) | {
             name for name, attr in vars(SimulationMetrics).items()
             if isinstance(attr, property)

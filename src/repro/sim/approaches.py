@@ -668,7 +668,6 @@ class HybridApproach(SchedulingApproach):
         decision = ctx.reuse_module.analyze(
             entry.placed, ctx.state.tiles, now=ctx.release_time,
             upcoming_configurations=tuple(upcoming),
-            weights=entry.weights,
         )
         execution = self._heuristic.run_time(
             entry,

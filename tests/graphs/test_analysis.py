@@ -4,14 +4,9 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graphs.analysis import (
-    alap_times,
-    asap_finish_times,
     asap_times,
-    critical_path,
-    is_critical,
     max_parallelism,
     parallelism_profile,
-    slack,
     subtask_weights,
     weight_ordered_subtasks,
 )
@@ -31,10 +26,6 @@ class TestAsap:
         assert starts["right"] == pytest.approx(10.0)
         assert starts["sink"] == pytest.approx(22.0)
 
-    def test_asap_finish(self, diamond):
-        finishes = asap_finish_times(diamond)
-        assert finishes["sink"] == pytest.approx(28.0)
-
 
 class TestWeights:
     def test_chain_weights_decrease(self, chain4):
@@ -50,12 +41,6 @@ class TestWeights:
         assert weights["left"] == pytest.approx(14.0)
         assert weights["sink"] == pytest.approx(6.0)
 
-    def test_critical_path_subtasks_have_max_weight(self, diamond):
-        weights = subtask_weights(diamond)
-        path = critical_path(diamond)
-        assert path == ["src", "right", "sink"]
-        assert weights["src"] == max(weights.values())
-
     def test_weight_ordering_helper(self, diamond):
         ordered = weight_ordered_subtasks(diamond)
         assert ordered == ["src", "right", "left", "sink"]
@@ -68,32 +53,6 @@ class TestWeights:
     def test_weight_ordering_unknown_subtask(self, diamond):
         with pytest.raises(GraphError):
             weight_ordered_subtasks(diamond, ["nope"])
-
-
-class TestAlapAndSlack:
-    def test_alap_of_critical_path_equals_asap(self, diamond):
-        asap = asap_times(diamond)
-        alap = alap_times(diamond)
-        for name in critical_path(diamond):
-            assert alap[name] == pytest.approx(asap[name])
-
-    def test_non_critical_subtask_has_slack(self, diamond):
-        slacks = slack(diamond)
-        assert slacks["left"] == pytest.approx(4.0)
-        assert slacks["right"] == pytest.approx(0.0)
-
-    def test_alap_with_larger_makespan(self, diamond):
-        alap = alap_times(diamond, makespan=40.0)
-        assert alap["sink"] == pytest.approx(34.0)
-
-    def test_alap_below_critical_path_rejected(self, diamond):
-        with pytest.raises(GraphError):
-            alap_times(diamond, makespan=10.0)
-
-    def test_is_critical(self, diamond):
-        assert is_critical(diamond, "src")
-        assert is_critical(diamond, "right")
-        assert not is_critical(diamond, "left")
 
 
 class TestParallelism:
@@ -112,21 +71,3 @@ class TestParallelism:
     def test_single_subtask_profile(self):
         graph = chain_graph("one", [5.0])
         assert max_parallelism(graph) == 1
-
-
-class TestCriticalPath:
-    def test_empty_graph(self):
-        from repro.graphs.taskgraph import TaskGraph
-        assert critical_path(TaskGraph("empty")) == []
-
-    def test_path_length_matches_makespan(self, benchmark_graphs):
-        for graph in benchmark_graphs:
-            path = critical_path(graph)
-            total = sum(graph.execution_time(name) for name in path)
-            assert total == pytest.approx(graph.critical_path_length())
-
-    def test_path_is_connected(self, benchmark_graphs):
-        for graph in benchmark_graphs:
-            path = critical_path(graph)
-            for producer, consumer in zip(path, path[1:]):
-                assert consumer in graph.successors(producer)

@@ -33,6 +33,20 @@ class TestSubtaskConstruction:
         with pytest.raises(ValueError):
             Subtask(name="x", execution_time=1.0, energy=-0.1)
 
+    # ``nan <= 0`` is False and ``True`` is 1: plain range checks let these
+    # through, and a NaN execution time poisons every subtask weight.
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True],
+                             ids=["nan", "inf", "true"])
+    def test_non_finite_or_bool_execution_time_rejected(self, value):
+        with pytest.raises(ValueError):
+            Subtask(name="x", execution_time=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True],
+                             ids=["nan", "inf", "true"])
+    def test_non_finite_or_bool_energy_rejected(self, value):
+        with pytest.raises(ValueError):
+            Subtask(name="x", execution_time=1.0, energy=value)
+
     def test_frozen(self):
         subtask = Subtask(name="x", execution_time=1.0)
         with pytest.raises(AttributeError):

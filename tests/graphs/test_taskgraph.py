@@ -64,6 +64,16 @@ class TestConstruction:
         with pytest.raises(GraphError):
             graph.add_dependency("a", "b", data_size=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True],
+                             ids=["nan", "inf", "true"])
+    def test_non_finite_or_bool_data_size_rejected(self, value):
+        graph = TaskGraph("t")
+        graph.add_subtask(drhw_subtask("a", 1.0))
+        graph.add_subtask(drhw_subtask("b", 1.0))
+        with pytest.raises(GraphError):
+            graph.add_dependency("a", "b", data_size=value)
+        assert graph.dependencies() == []
+
     def test_constructor_with_subtasks_and_dependencies(self):
         graph = TaskGraph(
             "t",
@@ -123,10 +133,6 @@ class TestIntrospection:
         graph.add_subtask(isp_subtask("sw", 1.0))
         assert graph.configurations == ["shared"]
 
-    def test_ancestors_descendants(self, diamond):
-        assert diamond.ancestors("sink") == ["left", "right", "src"]
-        assert diamond.descendants("src") == ["left", "right", "sink"]
-
     def test_empty_graph_critical_path(self):
         assert TaskGraph("empty").critical_path_length() == 0.0
 
@@ -137,18 +143,6 @@ class TestTransformations:
         clone.add_subtask(drhw_subtask("extra", 1.0))
         assert "extra" not in diamond
         assert len(clone) == len(diamond) + 1
-
-    def test_scaled(self, chain4):
-        scaled = chain4.scaled(0.5)
-        assert scaled.critical_path_length() == pytest.approx(40.5)
-        assert chain4.critical_path_length() == pytest.approx(81.0)
-
-    def test_relabeled(self, diamond):
-        relabeled = diamond.relabeled("x_")
-        assert set(relabeled.subtask_names) == {"x_src", "x_left", "x_right",
-                                                "x_sink"}
-        assert relabeled.subtask("x_src").configuration == "x_src"
-        assert ("x_src", "x_left") in relabeled.dependencies()
 
 
 class TestFactories:

@@ -95,6 +95,20 @@ class TestExplorationCache:
         path.write_text(json.dumps(entry), encoding="utf-8")
         assert cache.load(workload_spec, 4, platform) is None
 
+    def test_non_finite_execution_time_is_a_miss(self, tmp_path,
+                                                 workload_spec):
+        # NaN slips past every ``<=`` range check and the placement
+        # duration check; reloaded, it would make every weight NaN.
+        platform, result = explore(workload_spec)
+        cache = ExplorationCache(tmp_path)
+        path = cache.store(workload_spec, 4, result)
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        point = entry["exploration"]["curves"][0]["points"][0]
+        point["placed"]["graph"]["subtasks"][0]["execution_time"] = \
+            float("nan")
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        assert cache.load(workload_spec, 4, platform) is None
+
 
 class TestResultCacheClearsExplorations:
     def test_clear_removes_nested_exploration_entries(self, tmp_path,

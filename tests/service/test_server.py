@@ -179,6 +179,45 @@ class TestEndpoints:
         assert status == 400, body
         assert "must be" in body["error"]
 
+    @pytest.mark.parametrize("endpoint, field, value", [
+        ("/simulate", "keep_state_between_iterations", "false"),
+        ("/simulate", "seed", 1.9),
+        ("/simulate", "iterations", "7"),
+        ("/simulate", "tiles", True),
+        ("/simulate", "point_selection", 1),
+        ("/schedule", "tile_count", True),
+        ("/schedule", "tile_count", 4.7),
+        ("/schedule", "latency", True),
+        ("/robustness", "levels", ["0.1", True]),
+        ("/robustness", "seeds", [1.9]),
+        ("/robustness", "metric", 1),
+    ], ids=["simulate-str-flag", "simulate-float-seed",
+            "simulate-str-iterations", "simulate-bool-tiles",
+            "simulate-int-point-selection", "schedule-bool-tiles",
+            "schedule-float-tiles", "schedule-bool-latency",
+            "robustness-str-bool-levels", "robustness-float-seed",
+            "robustness-int-metric"])
+    def test_mistyped_field_is_400(self, service, endpoint, field, value):
+        # Coercing these (bool("false"), int(1.9), float(True), ...) would
+        # answer 200 for a different request than the one sent.
+        payload = {
+            "/simulate": {"workload": SYNTH_PAYLOAD, "tiles": 4,
+                          "iterations": ITERATIONS},
+            "/schedule": {"task": "jpeg_decoder"},
+            "/robustness": {"workload": SYNTH_PAYLOAD, "tiles": 4,
+                            "iterations": ITERATIONS, "levels": [0.0],
+                            "seeds": [1], "approaches": ["hybrid"]},
+        }[endpoint]
+        status, body = service.handle(endpoint, {**payload, field: value})
+        assert status == 400, body
+        assert "must be" in body["error"]
+
+    def test_integral_number_field_is_accepted(self, service):
+        status, body = service.handle("/schedule",
+                                      {"task": "jpeg_decoder", "latency": 4})
+        assert status == 200, body
+        assert body["reconfiguration_latency"] == 4.0
+
     def test_simulate_cache_hit_with_cache_dir(self, tmp_path):
         service = ReproService(ServiceState(cache_dir=tmp_path))
         payload = {"workload": SYNTH_PAYLOAD, "tiles": 4,

@@ -13,11 +13,13 @@ from repro.workloads import registry
 
 class TestImportFootprint:
     def test_cli_import_stays_off_the_http_stack(self):
-        """Only ``serve`` and ``trace run --service`` load the HTTP code."""
+        """Only ``serve`` and ``trace run --service`` load the HTTP code,
+        and nothing loads networkx: the graph layer is stdlib only."""
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         script = ("import sys, repro.cli; print(sorted(name for name in "
-                  "('repro.service', 'http.server') if name in sys.modules))")
+                  "('repro.service', 'http.server', 'networkx') "
+                  "if name in sys.modules))")
         loaded = subprocess.run([sys.executable, "-c", script], env=env,
                                 capture_output=True, text=True, check=True)
         assert loaded.stdout.strip() == "[]"
