@@ -44,6 +44,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import ReproError
+from ..jsonio import dumps_canonical
 from ..platform.description import Platform
 from ..sim.metrics import SimulationMetrics
 from ..storage import (
@@ -52,7 +53,6 @@ from ..storage import (
     EntryStat,
     as_backend,
     backend_root,
-    dumps_canonical,
     list_entries,
 )
 from ..tcm.design_time import (

@@ -80,11 +80,11 @@ import time
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
+from ..jsonio import dumps_canonical
 from ..storage import (
     Backend,
     as_backend,
     backend_root,
-    dumps_canonical,
     list_entries,
 )
 

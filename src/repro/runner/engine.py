@@ -102,7 +102,6 @@ cooperating fleet that partitions a spec without double work:
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 import time
@@ -114,6 +113,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
 from ..errors import ConfigurationError
+from ..jsonio import dumps_canonical
 from ..platform.description import Platform
 from ..scheduling.pool import SchedulerPool, process_scheduler_pool
 from ..scheduling.ttstore import TranspositionStore
@@ -608,8 +608,7 @@ class SweepEngine:
         tiles, different iterations, say) gets a different key and is
         never blocked by this one's claims.
         """
-        canonical = json.dumps([point.payload() for point in group],
-                               sort_keys=True, separators=(",", ":"))
+        canonical = dumps_canonical([point.payload() for point in group])
         digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         return f"group-{digest}"
 

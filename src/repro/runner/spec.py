@@ -24,11 +24,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import inspect
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
+from ..jsonio import dumps_canonical
 from ..reuse.replacement import ReplacementPolicy, make_replacement_policy
 from ..sim.noise import PerturbationConfig
 from ..sim.simulator import SimulationConfig
@@ -269,8 +269,7 @@ class SweepPoint:
 
     def cache_key(self) -> str:
         """Stable content hash identifying this point's result."""
-        canonical = json.dumps(self.payload(), sort_keys=True,
-                               separators=(",", ":"))
+        canonical = dumps_canonical(self.payload())
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     @property

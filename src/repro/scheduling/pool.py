@@ -59,6 +59,10 @@ pool itself: engines seed fresh tables from the store's content-addressed
 certificate files and persist back on eviction, schedule death and
 :meth:`SchedulerPool.flush` — which is how a sweep's warm tables reach
 fresh worker fleets and reruns (see :mod:`repro.scheduling.ttstore`).
+``flush`` returns the number of tables written: an engine whose table is
+unchanged since it was loaded or last saved writes nothing, so repeated
+flushes (one per sweep group) and GC-timed schedule deaths add no
+rewrites.
 """
 
 from __future__ import annotations
@@ -222,11 +226,14 @@ class SchedulerPool:
             engine.tt_store = store
 
     def flush(self) -> int:
-        """Persist every live engine's certificates; returns tables saved.
+        """Persist every live engine's certificates; returns tables written.
 
         The complement of load-on-miss: sweep workers call this at the end
         of a group (see :func:`repro.runner.engine.run_group`) so later
-        workers — and reruns after a restart — start warm.
+        workers — and reruns after a restart — start warm.  Engines whose
+        tables are unchanged since their last save write nothing and are
+        not counted (see
+        :meth:`~repro.scheduling.prefetch_bb.BranchAndBoundScheduler.flush_table`).
         """
         saved = 0
         # Snapshot: flushing allocates, which can run a GC whose weakref

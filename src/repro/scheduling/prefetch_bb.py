@@ -176,7 +176,10 @@ certificate mentions nothing process-local, so a persistent engine given a
 certificates to a content-addressed file whenever it discards a table (and
 on :meth:`~BranchAndBoundScheduler.flush_table`), and seeds fresh tables
 from whatever a previous process proved for the same (placed-schedule
-content, latency, release, engine-config) context.  Restored entries carry
+content, latency, release, engine-config) context.  A table is written
+only when a search ran on it since it was loaded or last saved, so each
+file is written once per change, however often the engine is flushed.
+Restored entries carry
 :data:`~repro.scheduling.ttstore.LOADED_GENERATION` (never equal to a live
 generation), so they are barrier certificates only — warm-from-disk
 searches stay bit-identical to cold ones for exactly the reasons warm
@@ -248,6 +251,9 @@ class BranchAndBoundScheduler(PrefetchScheduler):
         self._table_core: Optional[object] = None
         self._table_token: Optional[Tuple[float, float]] = None
         self._table_context: Optional[TableContext] = None
+        #: Whether the retained table may differ from its last save (see
+        #: :meth:`flush_table`).
+        self._table_dirty = False
         self._generation = 0
         self._reset_counters()
 
@@ -308,6 +314,7 @@ class BranchAndBoundScheduler(PrefetchScheduler):
             self._table_placed = weakref.ref(placed)
             self._table_core = core
             self._table_token = token
+            self._table_dirty = False
             self._generation = 0
         else:
             self._generation += 1
@@ -316,13 +323,19 @@ class BranchAndBoundScheduler(PrefetchScheduler):
     def flush_table(self) -> Optional[object]:
         """Persist the retained table's floor certificates; best-effort.
 
-        A no-op (returning ``None``) without a store, a retained table or
-        anything certifiable in it.  Called automatically whenever the
-        engine is about to discard a table, and by
-        :meth:`repro.scheduling.pool.SchedulerPool.flush` /
-        pool eviction for engines that never discard one themselves.
+        Returns the written path, or ``None`` for a no-op: without a
+        store, a retained table or anything certifiable in it, and when
+        the table is unchanged since it was loaded or last saved.  Every
+        search marks the table changed — even a pure hit reorders the LRU
+        tail that :meth:`TranspositionStore.save` persists — so a skipped
+        flush would have rewritten the same bytes.  A failed save leaves
+        the table marked, so a later flush retries it.  Called
+        automatically whenever the engine is about to discard a table,
+        and by :meth:`repro.scheduling.pool.SchedulerPool.flush` / pool
+        eviction for engines that never discard one themselves.
         """
-        if self.tt_store is None or not self._table:
+        if self.tt_store is None or not self._table \
+                or not self._table_dirty:
             return None
         if self._table_context is None:
             # The table predates the store binding (attach_tt_store on a
@@ -336,7 +349,10 @@ class BranchAndBoundScheduler(PrefetchScheduler):
                 placed, self._table_token[0], self._table_token[1],
                 self.exact_limit, self.table_limit,
             )
-        return self.tt_store.save(self._table_context, self._table)
+        path = self.tt_store.save(self._table_context, self._table)
+        if path is not None:
+            self._table_dirty = False
+        return path
 
     def invalidate(self) -> None:
         """Drop any retained transposition table (explicit invalidation).
@@ -465,6 +481,7 @@ class BranchAndBoundScheduler(PrefetchScheduler):
         # With a persistent engine this is the retained cross-call table;
         # entries from earlier calls are recognizable by their generation.
         table = self._acquire_table(problem)
+        self._table_dirty = True
         generation = self._generation
         table_limit = self.table_limit
         table_get = table.get

@@ -282,12 +282,11 @@ def _content_digest(placed: PlacedSchedule) -> str:
     schedules share replay signatures.
     """
     import hashlib
-    import json
 
+    from ..jsonio import dumps_canonical
     from .ttstore import placed_payload
 
-    canonical = json.dumps(placed_payload(placed), sort_keys=True,
-                           separators=(",", ":"))
+    canonical = dumps_canonical(placed_payload(placed))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -54,11 +54,16 @@ flushing the same key can never produce a torn file — last writer wins,
 and both writers' tables contain only true certificates, so either
 outcome is correct.  Loads never raise: a truncated file, a stale or
 future format version, a mismatched request payload or a hand-edited
-entry all degrade to a (partial) miss, and the next flush heals the file
-in place.  Two size bounds keep a shared directory from growing without
-limit: ``max_entries`` caps how many (most-recently-used) entries one
-table file records, and ``max_tables`` LRU-prunes the oldest table files
-by modification time on save.
+entry all degrade to a (partial) miss; the search that follows changes
+the engine's table, so the next flush after it heals the file in place.
+Two size bounds keep a shared directory from growing without limit:
+``max_entries`` caps how many (most-recently-used) entries one table
+file records, and ``max_tables`` caps the number of table files.  Pruning
+does not run on every save: a store lists the directory once, at its
+first new table, then counts the new tables it writes, and prunes the
+oldest files by modification time (then recounts) only when the count
+passes ``max_tables``.  The bound is soft across processes, since each
+store counts only its own writes.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from collections import OrderedDict
 
 from ..graphs.serialization import graph_to_dict
+from ..jsonio import dumps_canonical
 from ..storage import (
     TEMP_PATTERN,
     Backend,
@@ -106,7 +112,8 @@ LOADED_GENERATION = -1
 DEFAULT_MAX_ENTRIES = 32768
 
 #: Default cap on the number of table files retained in one store
-#: directory; the oldest (by mtime) are pruned on save.
+#: directory; the oldest (by mtime) are pruned once a store's count of
+#: table files passes it.
 DEFAULT_MAX_TABLES = 512
 
 
@@ -212,6 +219,11 @@ class TranspositionStore:
     ``directory`` may be a path (wrapped in the default
     :class:`~repro.storage.LocalDirBackend`) or any
     :class:`~repro.storage.Backend`.
+
+    The store counts its table files instead of rescanning for each one:
+    the first save that creates a file lists the directory, each later
+    one adds one, and :meth:`prune` runs only when the count passes
+    ``max_tables``.
     """
 
     def __init__(self, directory: Union[str, Path, Backend],
@@ -229,6 +241,9 @@ class TranspositionStore:
         self.tables_saved = 0
         self.entries_loaded = 0
         self.entries_rejected = 0
+        #: Table files in the directory, counted from this store's first
+        #: new table on (``None`` until then).
+        self._table_files: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     def context_for(self, placed: PlacedSchedule,
@@ -252,8 +267,7 @@ class TranspositionStore:
             "exact_limit": exact_limit,
             "table_limit": table_limit,
         }
-        canonical = json.dumps(payload, sort_keys=True,
-                               separators=(",", ":"))
+        canonical = dumps_canonical(payload)
         digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         return TableContext(digest=digest, payload=payload)
 
@@ -322,7 +336,9 @@ class TranspositionStore:
         dies with its process, exactly as it dies with its call in PR 4.
         Returns the written path, or ``None`` when there was nothing
         certifiable to write or the filesystem refused (a persistence
-        failure never fails the search that triggered it).
+        failure never fails the search that triggered it).  A save that
+        creates a file counts it and prunes only when the count passes
+        ``max_tables``.
         """
         items: List[List[object]] = []
         for signature, entry in table.items():
@@ -352,9 +368,15 @@ class TranspositionStore:
             return None
         self.tables_saved += 1
         if grew:
-            # Overwrites cannot change the file count, so the directory
-            # scan behind prune() only runs when a new table appeared.
-            self.prune()
+            # Overwrites cannot change the file count; only a new file
+            # can push it past the bound.
+            if self._table_files is None:
+                self._table_files = len(self)
+            else:
+                self._table_files += 1
+            if self._table_files > self.max_tables:
+                self.prune()
+                self._table_files = len(self)
         return (self.directory / context.filename
                 if self.directory is not None else None)
 

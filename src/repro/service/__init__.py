@@ -63,18 +63,21 @@ field takes neither ``true`` nor ``1.5``, a number field takes no
 boolean, a flag takes only ``true``/``false`` and a name only a string;
 anything else is a 400, never a coerced value.  Errors are
 ``{"error": "..."}`` with status 400 (bad request), 404 (unknown
-endpoint), 429 (shed; plus ``"retry_after"`` and a ``Retry-After``
-header) or 500.  Responses answered from another request's in-flight
+endpoint), 413 (body over 1 MiB), 429 (shed; plus ``"retry_after"`` and
+a ``Retry-After`` header) or 500.  Responses answered from another request's in-flight
 computation additionally carry ``"deduplicated": true``.
 
 HTTP/1.1 keep-alive is supported and is the low-latency path: one
 connection carries any number of requests, served in order by that
 connection's thread, with no handshake or thread start per request.
 Error statuses keep the connection open too, except a POST whose
-``Content-Length`` is not a non-negative integer: it gets a 400 with
-``Connection: close``, because its body cannot be framed.  Every
-accepted socket has ``TCP_NODELAY`` set, so a response never waits for
-the peer's delayed ACK.
+``Content-Length`` is not a non-negative integer (a 400) or is over
+1 MiB (a 413, body unread): both get ``Connection: close``, because the
+body cannot be framed or skipped.  A connection whose socket read or
+write stalls for 30 s is closed, so a client that sends nothing, or less
+body than it declared, does not hold a handler thread.  Every accepted
+socket has ``TCP_NODELAY`` set, so a response never waits for the peer's
+delayed ACK.
 
 ``GET /healthz``
     ``{"status": "ok", "pending": N}``.

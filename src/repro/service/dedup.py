@@ -27,7 +27,7 @@ import threading
 from concurrent.futures import Future
 from typing import Dict, Tuple
 
-from ..storage import dumps_canonical
+from ..jsonio import dumps_canonical
 
 
 def request_key(endpoint: str, payload: object) -> str:

@@ -52,6 +52,10 @@ from .state import ServiceState
 #: Default TCP port of ``repro serve`` (0 asks the OS for an ephemeral one).
 DEFAULT_PORT = 8642
 
+#: Largest request body the daemon reads (bytes); request bodies are a
+#: few KB.  A larger ``Content-Length`` is answered 413 unread.
+MAX_BODY_BYTES = 1 << 20
+
 #: A JSON-ready response: (HTTP status, body).
 Response = Tuple[int, Dict[str, object]]
 
@@ -460,6 +464,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
     # peer to ACK the headers, and a keep-alive peer delays that ACK by
     # ~40 ms on every response.
     disable_nagle_algorithm = True
+    # Seconds a socket read or write may stall before the connection is
+    # dropped, so a client that sends nothing, or less body than it
+    # declared, cannot hold a handler thread forever.
+    timeout = 30.0
     server: ReproServiceServer
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -494,6 +502,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
             # connection can be framed: answer, then hang up.
             self.close_connection = True
             self._respond(400, {"error": "bad Content-Length"})
+            return
+        if length > MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot be reused.
+            self.close_connection = True
+            self._respond(413, {"error": f"request body over "
+                                         f"{MAX_BODY_BYTES} bytes"})
             return
         raw = self.rfile.read(length) if length else b""
         if raw:

@@ -41,7 +41,6 @@ Semantics the stores rely on (and any backend must honour):
 from __future__ import annotations
 
 import fnmatch
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -175,13 +174,15 @@ class LocalDirBackend:
         return True
 
     def list(self, pattern: str) -> List[str]:
+        # scandir entries carry the file type from the directory read, so
+        # filtering files costs no stat per name.
         try:
-            names = os.listdir(str(self.root))
+            with os.scandir(self.root) as entries:
+                return sorted(entry.name for entry in entries
+                              if fnmatch.fnmatchcase(entry.name, pattern)
+                              and entry.is_file())
         except OSError:
             return []
-        return sorted(name for name in names
-                      if fnmatch.fnmatchcase(name, pattern)
-                      and (self.root / name).is_file())
 
     def stat(self, name: str) -> Optional[EntryStat]:
         try:
@@ -250,8 +251,3 @@ def sweep_aged(backend: Backend, pattern: str, max_age: float,
             removed_files += 1
             removed_bytes += stat.size
     return removed_files, removed_bytes
-
-
-def dumps_canonical(payload: object) -> str:
-    """The canonical JSON the fabric hashes and compares (sorted, tight)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -63,6 +63,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..errors import WorkloadError
 from ..graphs.generators import multimedia_like
+from ..jsonio import dumps_canonical
 from ..platform.description import DEFAULT_RECONFIGURATION_LATENCY_MS
 from ..tcm.scenario import DynamicTask, Scenario, TaskInstance, TaskSet
 from .base import Workload
@@ -217,11 +218,8 @@ def parse_trace(lines: Iterable[str]) -> List[TraceRecord]:
 
 def format_trace(records: Sequence[TraceRecord]) -> str:
     """Serialize records back to a JSON-lines log (inverse of parsing)."""
-    return "".join(
-        json.dumps(record.payload(), sort_keys=True,
-                   separators=(",", ":")) + "\n"
-        for record in records
-    )
+    return "".join(dumps_canonical(record.payload()) + "\n"
+                   for record in records)
 
 
 def read_trace(path: Union[str, Path]) -> List[TraceRecord]:

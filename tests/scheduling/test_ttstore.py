@@ -11,12 +11,14 @@ next flush heals in place.
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 
 import pytest
 
 from repro.platform.description import Platform
+from repro.runner import SweepEngine, TraceStreamConfig, run_trace_stream
 from repro.scheduling import (
     BranchAndBoundScheduler,
     PrefetchProblem,
@@ -24,14 +26,17 @@ from repro.scheduling import (
     TranspositionStore,
     build_initial_schedule,
 )
+from repro.scheduling.pool import reset_process_scheduler_pool
 from repro.scheduling.ttstore import (
     LOADED_GENERATION,
     TTSTORE_FORMAT_VERSION,
 )
+from repro.storage import LocalDirBackend
 from repro.workloads.multimedia import (
     jpeg_decoder_graph,
     pattern_recognition_graph,
 )
+from repro.workloads.traces import MixedPatternConfig, generate_mixed_trace
 
 LATENCY = 4.0
 
@@ -244,8 +249,11 @@ class TestConcurrentWriters:
                                                  tt_store=store)
                 engine.schedule(problem)
                 barrier.wait(timeout=30)
+                # Saved directly: flush_table would write an unchanged
+                # table only once.
                 for _ in range(20):
-                    engine.flush_table()
+                    assert store.save(engine._table_context,
+                                      engine._table) is not None
             except Exception as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 
@@ -276,7 +284,134 @@ class TestConcurrentWriters:
         assert len(store) == 1  # debris is not counted as a table
 
 
+class CountingBackend(LocalDirBackend):
+    """A local backend that counts its directory listings."""
+
+    def __init__(self, directory) -> None:
+        super().__init__(directory)
+        self.listings = 0
+
+    def list(self, pattern):
+        self.listings += 1
+        return super().list(pattern)
+
+
+class FlakyBackend(LocalDirBackend):
+    """A local backend whose first atomic write fails."""
+
+    failures = 1
+
+    def write_json_atomic(self, name, entry):
+        if self.failures:
+            self.failures -= 1
+            raise OSError("disk full")
+        super().write_json_atomic(name, entry)
+
+
+class TestWriteOnlyWhenChanged:
+    """A table is written once per change, never by a bare flush."""
+
+    def test_second_flush_of_an_untouched_table_writes_nothing(self,
+                                                               tmp_path):
+        problem = make_problem()
+        store = TranspositionStore(tmp_path)
+        engine = seed_store(store, problem)
+        before = table_path(store, problem).stat()
+        assert engine.flush_table() is None
+        after = table_path(store, problem).stat()
+        # An atomic rewrite would put a new inode in place.
+        assert (after.st_ino, after.st_mtime_ns) == \
+            (before.st_ino, before.st_mtime_ns)
+        assert store.tables_saved == 1
+
+    def test_search_after_a_save_makes_the_next_flush_write(self,
+                                                            tmp_path):
+        problem = make_problem()
+        store = TranspositionStore(tmp_path)
+        engine = seed_store(store, problem)
+        # A warm call only hits, but hits reorder the persisted LRU tail.
+        assert engine.schedule(problem).stats.tt_warm_hits > 0
+        assert engine.flush_table() == table_path(store, problem)
+        assert store.tables_saved == 2
+
+    def test_failed_save_leaves_the_table_dirty(self, tmp_path):
+        problem = make_problem()
+        store = TranspositionStore(FlakyBackend(tmp_path))
+        engine = BranchAndBoundScheduler(persistent_table=True,
+                                         tt_store=store)
+        engine.schedule(problem)
+        assert engine.flush_table() is None  # the write was refused
+        assert len(store) == 0
+        assert engine.flush_table() == table_path(store, problem)
+        assert engine.flush_table() is None  # now saved and clean
+
+    def test_pool_flush_counts_only_tables_written(self, tmp_path):
+        pool = SchedulerPool()
+        problem = make_problem()
+        pool.schedule(problem)
+        assert pool.flush() == 0  # no store yet: the table stays dirty
+        pool.attach_tt_store(TranspositionStore(tmp_path))
+        assert pool.flush() == 1  # earned before the store, written now
+        assert pool.flush() == 0
+        pool.schedule(problem)
+        assert pool.flush() == 1
+
+    def test_stream_table_writes_do_not_depend_on_gc_timing(
+            self, tmp_path, monkeypatch):
+        """One write per table file, whenever the cyclic GC fires.
+
+        The pool flushes an engine's table when its placed schedule dies,
+        and the cyclic GC decides when that is.  Writes of unchanged
+        tables made the write count depend on it.
+        """
+        records = generate_mixed_trace(MixedPatternConfig(
+            records=30, universe=10, seed=1, tenants=3))
+        config = TraceStreamConfig(iterations=2, tile_count=4, subtasks=4)
+        writes = []
+        save = TranspositionStore.save
+
+        def counted(store, context, table):
+            path = save(store, context, table)
+            if path is not None:
+                writes[-1] += 1
+            return path
+
+        monkeypatch.setattr(TranspositionStore, "save", counted)
+        modes = {"default": lambda: None, "disabled": gc.disable,
+                 "eager": lambda: gc.set_threshold(1, 1, 1)}
+        threshold = gc.get_threshold()
+        files = []
+        try:
+            for mode, set_up in modes.items():
+                reset_process_scheduler_pool()
+                set_up()
+                writes.append(0)
+                cache = tmp_path / mode
+                run_trace_stream(records, config, engine=SweepEngine(
+                    max_workers=1, cache_dir=str(cache)))
+                gc.enable()
+                gc.set_threshold(*threshold)
+                files.append(len(list(
+                    (cache / "ttables").glob("tt-*.json"))))
+        finally:
+            gc.enable()
+            gc.set_threshold(*threshold)
+            reset_process_scheduler_pool()
+        assert files[0] > 0
+        assert writes == files
+        assert len(set(writes)) == 1
+
+
 class TestBounds:
+    def test_new_tables_under_the_bound_list_the_directory_once(self,
+                                                                tmp_path):
+        backend = CountingBackend(tmp_path)
+        store = TranspositionStore(backend)
+        for latency in (1, 2, 3, 5):
+            seed_store(store, make_problem(latency=float(latency)))
+        assert len(list(tmp_path.glob("tt-*.json"))) == 4
+        assert backend.listings == 1
+
     def test_max_entries_keeps_most_recent_tail(self, tmp_path):
         problem = make_problem(pattern_recognition_graph, tiles=2)
         big = TranspositionStore(tmp_path / "big")
@@ -304,6 +439,8 @@ class TestBounds:
             engine.schedule(problem)
             path = engine.flush_table()
             assert path is not None
+            # The bound holds after every save, not only after prune().
+            assert len(store) <= 3
             # Distinct, strictly increasing mtimes (rename preserves the
             # temp file's timestamp, which a fast test makes collide).
             stamp = 1_000_000 + index

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.jsonio import dumps_canonical
 from repro.runner import SweepEngine
 from repro.runner.cache import metrics_to_dict
 from repro.service import ReproService, ServiceState
-from repro.storage import dumps_canonical
 
 from .test_state import make_point
 

@@ -19,7 +19,12 @@ from repro.service import (
     ServiceState,
     point_from_payload,
 )
-from repro.service.server import approach_spec_from, workload_spec_from
+from repro.service.server import (
+    MAX_BODY_BYTES,
+    _RequestHandler,
+    approach_spec_from,
+    workload_spec_from,
+)
 
 from .test_state import ITERATIONS, SYNTH_OPTIONS
 
@@ -415,6 +420,46 @@ class TestHttpLayer:
         assert reply.startswith(b"HTTP/1.1 400 ")
         assert reply.count(b"HTTP/1.1 ") == 1, reply
         assert b"\r\nConnection: close\r\n" in reply
+
+    @pytest.mark.parametrize("length", [MAX_BODY_BYTES + 1, 10 ** 12],
+                             ids=["just-over-cap", "terabyte"])
+    def test_oversized_body_is_413_unread_and_closes(self, live_server,
+                                                      length):
+        # No body follows the headers: answering at all proves the server
+        # neither waited for the body nor tried to allocate it.
+        reply = self._raw_exchange(
+            live_server.server_address[1],
+            b"POST /schedule HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: %d\r\n\r\n" % length,
+        )
+        assert reply.startswith(b"HTTP/1.1 413 "), reply
+        assert b"\r\nConnection: close\r\n" in reply
+
+    def test_body_at_the_cap_is_read(self, live_server):
+        body = b'{"task": "jpeg_decoder", "tiles": 4}'
+        body += b" " * (MAX_BODY_BYTES - len(body))
+        reply = self._raw_exchange(
+            live_server.server_address[1],
+            b"POST /schedule HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body),
+        )
+        assert reply.startswith(b"HTTP/1.1 200 "), reply[:200]
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"",
+        b"POST /schedule HTTP/1.1\r\nHost: t\r\n"
+        b"Content-Length: 100\r\n\r\n",
+    ], ids=["silent-client", "short-body"])
+    def test_stalled_reads_time_out_and_close(self, live_server,
+                                              monkeypatch, request_bytes):
+        # The shipped timeout is finite; shrink it to keep the test short.
+        assert 0 < _RequestHandler.timeout <= 60
+        monkeypatch.setattr(_RequestHandler, "timeout", 0.5)
+        start = time.perf_counter()
+        reply = self._raw_exchange(live_server.server_address[1],
+                                   request_bytes)
+        assert reply == b""  # hung up without answering
+        assert time.perf_counter() - start < 4.0
 
 
 class TestCliParser:

@@ -209,6 +209,28 @@ class TestZeroNoiseBitIdentity:
         assert noisy.metrics.overhead_percent == pytest.approx(
             plain.metrics.overhead_percent, rel=1e-9)
 
+    @settings(max_examples=15, deadline=None)
+    @given(fault_rate=st.floats(min_value=0.0, max_value=0.3),
+           tiles=st.integers(min_value=2, max_value=8))
+    def test_epsilon_noise_converges_for_any_faults_and_tiles(
+            self, fault_rate, tiles):
+        """Continuity at zero noise over fault rates and tile counts."""
+        epsilon = PerturbationConfig(latency_sigma=1e-12,
+                                     execution_sigma=1e-12)
+        workload = small_workload()
+        platform = Platform(
+            tile_count=tiles,
+            reconfiguration_latency=workload.reconfiguration_latency,
+        )
+        design = TcmDesignTimeScheduler(platform).explore(workload.task_set)
+        for name in sorted(APPROACHES):
+            kwargs = dict(fault_rate=fault_rate, workload=workload,
+                          platform=platform, design=design)
+            plain = run(name, None, **kwargs)
+            noisy = run(name, epsilon, **kwargs)
+            assert noisy.metrics.overhead_percent == pytest.approx(
+                plain.metrics.overhead_percent, rel=1e-9), name
+
     def test_zero_noise_records_have_zero_stochastic_counters(self):
         result = run("hybrid", None)
         metrics = result.metrics

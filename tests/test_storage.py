@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.jsonio import atomic_write_json, dumps_canonical
 from repro.storage import (
     Backend,
     EntryStat,
@@ -154,3 +155,64 @@ class TestStoresAcceptExplicitBackends:
         store = TranspositionStore(LocalDirBackend(tmp_path))
         assert len(store) == 0
         assert store.directory == tmp_path
+
+
+def reindent(path) -> None:
+    """Rewrite a cache file in the older ``indent=1`` layout."""
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    with open(path, "w", encoding="utf-8") as stream:
+        json.dump(entry, stream, sort_keys=True, indent=1)
+    assert "\n" in path.read_text(encoding="utf-8")
+
+
+class TestCanonicalFiles:
+    def test_atomic_write_is_compact_canonical_and_round_trips(self,
+                                                              tmp_path):
+        entry = {"b": [1, 2.5, None, 2 ** 70], "a": {"y": "\u00e9", "x": True}}
+        path = atomic_write_json(tmp_path, tmp_path / "e.json", entry)
+        text = path.read_text(encoding="utf-8")
+        assert "\n" not in text
+        assert text == dumps_canonical(entry)
+        assert json.loads(text) == entry
+
+    def test_indented_entries_still_load(self, tmp_path):
+        """Files written before the compact layout are hits, not misses."""
+        from repro.platform.description import Platform
+        from repro.runner import ExplorationCache, ResultCache, WorkloadSpec
+        from repro.scheduling import (
+            BranchAndBoundScheduler,
+            PrefetchProblem,
+            TranspositionStore,
+            build_initial_schedule,
+        )
+        from repro.tcm.design_time import TcmDesignTimeScheduler
+        from repro.workloads.multimedia import pattern_recognition_graph
+        from tests.runner.test_cache import make_metrics, make_point
+
+        results = ResultCache(tmp_path / "results")
+        point, metrics = make_point(), make_metrics()
+        reindent(results.store(point, metrics))
+        assert results.load(point) == metrics
+
+        spec = WorkloadSpec.of("synthetic", task_count=2, subtasks_per_task=5,
+                               scenarios_per_task=2, seed=3)
+        workload = spec.build()
+        platform = Platform(
+            tile_count=4,
+            reconfiguration_latency=workload.reconfiguration_latency)
+        explorations = ExplorationCache(tmp_path / "explorations")
+        design = TcmDesignTimeScheduler(platform).explore(workload.task_set)
+        reindent(explorations.store(spec, 4, design))
+        assert explorations.load(spec, 4, platform) is not None
+
+        placed = build_initial_schedule(
+            pattern_recognition_graph(),
+            Platform(tile_count=2, reconfiguration_latency=4.0))
+        problem = PrefetchProblem(placed, 4.0)
+        store = TranspositionStore(tmp_path / "ttables")
+        engine = BranchAndBoundScheduler(persistent_table=True,
+                                         tt_store=store)
+        engine.schedule(problem)
+        reindent(engine.flush_table())
+        assert store.load(engine._table_context) is not None
+        assert store.tables_loaded == 1
