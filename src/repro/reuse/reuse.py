@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import PlatformError
-from ..graphs.analysis import subtask_weights
 from ..platform.tile import TileState
 from ..scheduling.schedule import PlacedSchedule, ResourceId
 from .replacement import LruReplacement, ReplacementPolicy
@@ -88,55 +87,48 @@ class ReuseModule:
             replacement policy avoids evicting them when possible.
 
         Logical tiles are matched in decreasing subtask weight of their
-        first subtask.
+        first subtask (ties by tile index).  That order, each tile's first
+        subtask and configuration, and every DRHW subtask's logical tile
+        are static facts of ``placed``, read off its core
+        (:attr:`~repro.scheduling.schedule.PlacedSchedule.core`); the
+        analysis itself only matches them against the tile contents.
         """
-        logical_tiles = placed.tiles_used
-        if len(logical_tiles) > len(tiles):
+        core = placed.core
+        if len(core.reuse_tiles) > len(tiles):
             raise PlatformError(
-                f"placed schedule uses {len(logical_tiles)} tiles but only "
-                f"{len(tiles)} physical tiles exist"
+                f"placed schedule uses {len(core.reuse_tiles)} tiles but "
+                f"only {len(tiles)} physical tiles exist"
             )
-        graph = placed.graph
-        weight_map = subtask_weights(graph)
-        first_on_tile = placed.first_on_tile()
         operations = 0
-
-        # Greedy matching: logical tiles whose first subtask is heaviest get
-        # the first chance to grab a physical tile that already holds their
-        # configuration.
-        by_priority = sorted(
-            logical_tiles,
-            key=lambda r: (-weight_map.get(first_on_tile.get(r, ""), 0.0),
-                           r.index),
-        )
         resident: Dict[str, List[int]] = {}
         for tile in tiles:
             if tile.configuration is not None and not tile.locked:
                 resident.setdefault(tile.configuration, []).append(tile.index)
 
+        # Greedy matching: logical tiles whose first subtask is heaviest get
+        # the first chance to grab a physical tile that already holds their
+        # configuration.
         binding: Dict[ResourceId, int] = {}
         reused: List[str] = []
+        protected: set = set()
         assigned_physical: set = set()
         unmatched: List[ResourceId] = []
-        for logical in by_priority:
-            first = first_on_tile.get(logical)
-            configuration = (graph.subtask(first).configuration
-                             if first is not None else None)
+        for logical, first, configuration in core.reuse_tiles:
             operations += 1
-            candidates = [index for index in resident.get(configuration or "", [])
+            candidates = [index for index in resident.get(configuration, [])
                           if index not in assigned_physical]
-            if first is not None and candidates:
+            if candidates:
                 chosen = candidates[0]
                 binding[logical] = chosen
                 assigned_physical.add(chosen)
                 reused.append(first)
+                protected.add(configuration)
             else:
                 unmatched.append(logical)
 
         # Remaining logical tiles receive victims chosen by the replacement
         # policy; configurations just matched for reuse are protected.
         if unmatched:
-            protected = {graph.subtask(name).configuration for name in reused}
             available = [tile for tile in tiles
                          if tile.index not in assigned_physical]
             victims = self.replacement.select_victims(
@@ -148,10 +140,8 @@ class ReuseModule:
                 binding[logical] = victim
                 assigned_physical.add(victim)
 
-        subtask_tiles = {
-            name: binding[placed.resource_of(name)]
-            for name in placed.drhw_names
-        }
+        subtask_tiles = {name: binding[logical]
+                         for name, logical in core.drhw_tiles}
         return ReuseDecision(tile_binding=binding, reused=frozenset(reused),
                              subtask_tiles=subtask_tiles, operations=operations)
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from .replay import CommunicationFn, ReplayState, priority_rank
+from .replay import CommunicationFn, ReplayState
 from .schedule import PlacedSchedule, TimedSchedule
 
 
@@ -91,8 +91,7 @@ def replay_schedule(placed: PlacedSchedule,
         controller_available=controller_available,
         communication=communication,
     )
-    rank = priority_rank(placed, state.pending_loads, priority_order)
-    return state.run(rank).finish()
+    return state.run_order(priority_order).finish()
 
 
 def needed_loads(placed: PlacedSchedule,
@@ -101,8 +100,8 @@ def needed_loads(placed: PlacedSchedule,
 
     ``reused`` lists the subtasks whose configuration is already resident on
     the tile they are placed on; every other DRHW subtask needs a load.
-    The result is ordered by ideal start time for reproducibility.
+    The result is ordered by ideal start time (ties by name) for
+    reproducibility: the schedule's static order, filtered.
     """
-    reused_set = set(reused)
-    names = [name for name in placed.drhw_names if name not in reused_set]
-    return sorted(names, key=lambda n: (placed.ideal_start(n), n))
+    reused_set = frozenset(reused)
+    return [name for name in placed.core.by_start if name not in reused_set]

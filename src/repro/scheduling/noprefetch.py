@@ -11,7 +11,6 @@ other techniques then try to hide.
 
 from __future__ import annotations
 
-from ..graphs.analysis import subtask_weights
 from .base import PrefetchProblem, PrefetchResult, PrefetchScheduler, SchedulerStats
 from .evaluator import replay_schedule
 
@@ -22,15 +21,12 @@ class OnDemandScheduler(PrefetchScheduler):
     name = "no-prefetch"
 
     def schedule(self, problem: PrefetchProblem) -> PrefetchResult:
-        placed = problem.placed
-        weights = subtask_weights(placed.graph)
         # Requests are served in readiness order; simultaneous requests are
         # served most-urgent (heaviest subtask) first, which is what a
         # priority-aware loader without prefetching would do.
-        loads = tuple(sorted(
-            problem.loads,
-            key=lambda n: (placed.ideal_start(n), -weights[n], n),
-        ))
+        reused = problem.reused
+        loads = tuple(name for name in problem.placed.core.by_start_weight
+                      if name not in reused)
         timed = replay_schedule(
             problem.placed,
             problem.reconfiguration_latency,

@@ -30,15 +30,15 @@ engine (and therefore its warm transposition table) across calls:
   (property-tested in ``tests/scheduling/test_scheduler_pool.py``).
 
 A note on the packed signature layout: replay signatures are flat tuples
-of dense integer ids interned per ``_ReplayCore``
-(:func:`repro.scheduling.replay._core_for`), so two signatures are only
-comparable when their states share a core.  The pool key (placed schedule
-*identity*) is strictly finer than core identity — every state the same
-engine ever hashes derives from the same placed object and therefore the
-same core — and the engine's own invalidation additionally pins the core
-object (not just the placed ``id()``), so content-equal placed schedules
-that share a core through the digest fallback cache still warm-hit
-correctly while any core change falls back to a cold table.
+of dense integer ids interned per ``_ReplayCore`` (a placed schedule's
+:attr:`~repro.scheduling.schedule.PlacedSchedule.core`), so two signatures
+are only comparable when their states share a core.  The pool key (placed
+schedule *identity*) is strictly finer than core identity — every state
+the same engine ever hashes derives from the same placed object and
+therefore the same core — and the engine's own invalidation additionally
+pins the core object (not just the placed ``id()``), so content-equal
+placed schedules that share a core through the digest cache still
+warm-hit correctly while any core change falls back to a cold table.
 
 The pool is LRU-bounded (``max_engines``) and aggregates the
 :class:`~repro.scheduling.base.SchedulerStats` of every call it served

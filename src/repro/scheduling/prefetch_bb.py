@@ -197,7 +197,7 @@ from ..graphs.analysis import subtask_weights
 from .base import PrefetchProblem, PrefetchResult, PrefetchScheduler, SchedulerStats
 from .evaluator import replay_schedule
 from .prefetch_list import ListPrefetchScheduler
-from .replay import ReplayState, _core_for
+from .replay import ReplayState
 from .schedule import TIME_EPSILON, TimedSchedule
 from .ttstore import TableContext, TranspositionStore
 
@@ -287,7 +287,7 @@ class BranchAndBoundScheduler(PrefetchScheduler):
             self._generation = 0
             return OrderedDict()
         placed = problem.placed
-        core = _core_for(placed)
+        core = placed.core
         token = (problem.reconfiguration_latency, problem.release_time)
         if self._table is None or self._table_core is not core \
                 or self._table_token != token:

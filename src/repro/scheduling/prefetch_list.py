@@ -26,7 +26,6 @@ import math
 from typing import List, Sequence, Tuple
 
 from ..errors import SchedulingError
-from ..graphs.analysis import subtask_weights
 from .base import PrefetchProblem, PrefetchResult, PrefetchScheduler, SchedulerStats
 from .evaluator import replay_schedule
 
@@ -48,17 +47,19 @@ class ListPrefetchScheduler(PrefetchScheduler):
         self.priority = priority
 
     def load_order(self, problem: PrefetchProblem) -> Tuple[str, ...]:
-        """Compute the priority order of the loads for ``problem``."""
-        loads = list(problem.loads)
-        placed = problem.placed
-        weights = subtask_weights(placed.graph)
-        if self.priority == "weight":
-            loads.sort(key=lambda n: (-weights[n], placed.ideal_start(n), n))
-        else:
-            # Earliest-needed-first; simultaneous needs are broken towards
-            # the heavier (more critical) subtask, as in the paper.
-            loads.sort(key=lambda n: (placed.ideal_start(n), -weights[n], n))
-        return tuple(loads)
+        """Compute the priority order of the loads for ``problem``.
+
+        ``"weight"`` sorts by ``(-weight, ideal start, name)``; the default
+        is earliest-needed-first, simultaneous needs broken towards the
+        heavier (more critical) subtask, as in the paper: ``(ideal start,
+        -weight, name)``.  Both orders are the schedule's static ones,
+        filtered by ``problem.reused``.
+        """
+        core = problem.placed.core
+        order = (core.by_weight if self.priority == "weight"
+                 else core.by_start_weight)
+        reused = problem.reused
+        return tuple(name for name in order if name not in reused)
 
     def schedule(self, problem: PrefetchProblem) -> PrefetchResult:
         order = self.load_order(problem)

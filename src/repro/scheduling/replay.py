@@ -136,7 +136,7 @@ Invariants the kernel maintains (and that its users rely on):
   reaches, provided signatures are comparable at all — which requires
   the same static replay core (ids are core-relative!), the same
   reconfiguration latency and the same release time.  Cores are interned
-  per placed-schedule *content* (see :func:`_core_for`), so "same core"
+  per placed-schedule *content* (see :func:`_intern_core`), so "same core"
   is implied by "same placed-schedule content" within one process.  (The
   ``reused`` set and ``controller_available`` need no such guard: both
   are captured *inside* the signature via the pending mask and the
@@ -150,17 +150,18 @@ Invariants the kernel maintains (and that its users rely on):
   exactly the comparability context above).
 
 The per-schedule static context is precomputed once per
-:class:`PlacedSchedule` and cached twice over: weakly by schedule
-identity, and LRU-bounded by placed-schedule *content digest* — so a
+:class:`PlacedSchedule`: the schedule owns its core, interned by digest
+(an LRU-bounded map from placed-schedule *content digest* to core) — so a
 service request that rebuilds an identical graph (a fresh, content-equal
 ``PlacedSchedule`` object) reuses the interned core instead of
 re-deriving it, and its replay signatures stay comparable with the
-original's.
+original's.  The same core carries the run-time facts the simulator's
+per-task path reads (reuse tile order, static load orders, per-tile
+runs), so a task execution looks them up instead of re-deriving them.
 """
 
 from __future__ import annotations
 
-import weakref
 from array import array
 from collections import OrderedDict
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -199,18 +200,34 @@ class _ReplayCore:
     repeated placement lookups (position scans) out of the hot dispatch
     loop — the state machine then runs entirely on int-indexed tuples.
 
+    It also holds the run-time facts the simulator's per-task path reads:
+    ``reuse_tiles`` (each used tile, its first subtask and that subtask's
+    configuration, by decreasing weight of the first subtask, ties by tile
+    index) and ``drhw_tiles`` (``(name, tile)`` per DRHW subtask); the
+    DRHW load orders ``by_start`` ``(ideal start, name)``,
+    ``by_start_weight`` ``(ideal start, -weight, name)`` and ``by_weight``
+    ``(-weight, ideal start, name)``, filtered by ``reused`` per call
+    (exact: every key ends in the unique name), and ``start_ids`` (every
+    id by ideal start, then name); per tile, ``tile_runs`` (its
+    ``(subtask, configuration)`` run) and ``tile_last``; ``sorted_names``,
+    ``total_execution_time``, ``configurations``; and ``requests``, the
+    inter-task request tuples :mod:`repro.sim.approaches` builds once.
+
     The core deliberately does **not** reference the placed schedule it
-    was derived from: it is the value of weak-keyed / digest-keyed cache
-    entries, and a strong back-reference would pin the schedule for the
-    process lifetime.  States carry their own strong reference to the
-    schedule instead.
+    was derived from: it is the value of digest-keyed cache entries, and
+    a strong back-reference would pin the schedule for the process
+    lifetime.  States carry their own strong reference to the schedule
+    instead.
     """
 
     __slots__ = (
         "graph", "total", "names", "index", "sorted_rank",
         "resources", "sequences", "seq_len", "preds", "succs", "pred_count",
         "exec_time", "ideal_start", "position", "resource_of",
-        "configuration", "drhw_names", "drhw_mask", "__weakref__",
+        "configuration", "drhw_mask", "reuse_tiles",
+        "drhw_tiles", "by_start", "by_start_weight", "by_weight",
+        "start_ids", "tile_runs", "tile_last", "sorted_names",
+        "total_execution_time", "configurations", "requests",
     )
 
     def __init__(self, placed: PlacedSchedule) -> None:
@@ -222,8 +239,9 @@ class _ReplayCore:
         index = self.index = graph_core.index
         # Rank of each id under ascending-name order: any tie-break "by
         # name" is equivalently (and much more cheaply) "by sorted_rank".
+        self.sorted_names = tuple(sorted(names))
         rank = array("l", [0] * self.total)
-        for position, name in enumerate(sorted(names)):
+        for position, name in enumerate(self.sorted_names):
             rank[index[name]] = position
         self.sorted_rank = tuple(rank)
         self.resources: Tuple[ResourceId, ...] = tuple(placed.resources)
@@ -238,7 +256,7 @@ class _ReplayCore:
         self.exec_time: Tuple[float, ...] = tuple(
             subtask.execution_time for subtask in graph
         )
-        self.ideal_start: Tuple[float, ...] = tuple(
+        ideal = self.ideal_start = tuple(
             placed.ideal_start(name) for name in names
         )
         position_col = array("l", [0] * self.total)
@@ -249,26 +267,45 @@ class _ReplayCore:
                 resource_col[sid] = rid
         self.position = tuple(position_col)
         self.resource_of = tuple(resource_col)
-        self.configuration: Tuple[str, ...] = tuple(
+        configuration = self.configuration = tuple(
             subtask.configuration for subtask in graph
         )
-        self.drhw_names = frozenset(placed.drhw_names)
         mask = 0
-        for name in self.drhw_names:
+        for name in placed.drhw_names:
             mask |= 1 << index[name]
         self.drhw_mask = mask
 
+        weight = graph_core.weights
+        self.start_ids = tuple(sorted(range(self.total),
+                                      key=lambda sid: (ideal[sid], rank[sid])))
+        drhw = [sid for sid in self.start_ids if (mask >> sid) & 1]
+        self.by_start = tuple(names[sid] for sid in drhw)
+        self.by_start_weight = tuple(names[sid] for sid in sorted(
+            drhw, key=lambda sid: (ideal[sid], -weight[sid], rank[sid])))
+        self.by_weight = tuple(names[sid] for sid in sorted(
+            drhw, key=lambda sid: (-weight[sid], ideal[sid], rank[sid])))
+        self.drhw_tiles = tuple(
+            (names[sid], self.resources[resource_col[sid]])
+            for sid in range(self.total) if (mask >> sid) & 1)
+        tiles = [(resource, sequence) for resource, sequence
+                 in zip(self.resources, self.sequences) if resource.is_tile]
+        self.tile_runs = {tile: tuple((names[sid], configuration[sid])
+                                      for sid in sequence)
+                          for tile, sequence in tiles}
+        self.tile_last = {tile: names[sequence[-1]] for tile, sequence in tiles}
+        tiles.sort(key=lambda item: (-weight[item[1][0]], item[0].index))
+        self.reuse_tiles = tuple((tile, names[sequence[0]],
+                                  configuration[sequence[0]])
+                                 for tile, sequence in tiles)
+        self.total_execution_time = graph.total_execution_time
+        self.configurations = tuple(graph.configurations)
+        self.requests: Dict[Tuple[str, ...], tuple] = {}
 
-#: Weak per-schedule-identity cache of the static replay context.
-_CORE_CACHE: "weakref.WeakKeyDictionary[PlacedSchedule, _ReplayCore]" = (
-    weakref.WeakKeyDictionary()
-)
 
-#: Content-digest fallback cache: identical placed-schedule *content*
-#: (a service request rebuilding the same graph, a deserialized sweep
-#: point) maps to one shared core even when object identity misses.
-#: LRU-bounded — a core pins its graph, so this must not grow without
-#: limit in long-lived daemons.
+#: Content-digest core cache: identical placed-schedule *content* (a
+#: service request rebuilding the same graph, a deserialized sweep point,
+#: an unpickled schedule) maps to one shared core.  LRU-bounded — a core
+#: pins its graph, so this must not grow without limit in daemons.
 _CORE_DIGEST_CACHE: "OrderedDict[str, _ReplayCore]" = OrderedDict()
 _CORE_DIGEST_LIMIT = 64
 
@@ -290,50 +327,70 @@ def _content_digest(placed: PlacedSchedule) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _core_for(placed: PlacedSchedule) -> _ReplayCore:
-    """The interned replay core for ``placed``.
+def _intern_core(placed: PlacedSchedule) -> _ReplayCore:
+    """The interned core for ``placed``'s content (built on a miss).
 
-    Identity hit first (free); on a miss the placed schedule's *content
-    digest* is consulted before building a fresh core, so content-equal
-    schedules — e.g. service requests rebuilding identical graphs —
-    share one core (and therefore comparable signatures) instead of
-    re-deriving it per object.
+    :attr:`PlacedSchedule.core` calls this once per schedule object and
+    keeps the result, so content-equal schedules share one core (and
+    therefore comparable signatures) instead of re-deriving it.
     """
-    core = _CORE_CACHE.get(placed)
+    digest = _content_digest(placed)
+    core = _CORE_DIGEST_CACHE.get(digest)
     if core is None:
-        digest = _content_digest(placed)
-        core = _CORE_DIGEST_CACHE.get(digest)
-        if core is None:
-            core = _ReplayCore(placed)
-            _CORE_DIGEST_CACHE[digest] = core
-        else:
-            _CORE_DIGEST_CACHE.move_to_end(digest)
-        while len(_CORE_DIGEST_CACHE) > _CORE_DIGEST_LIMIT:
-            _CORE_DIGEST_CACHE.popitem(last=False)
-        _CORE_CACHE[placed] = core
+        core = _ReplayCore(placed)
+        _CORE_DIGEST_CACHE[digest] = core
+    else:
+        _CORE_DIGEST_CACHE.move_to_end(digest)
+    while len(_CORE_DIGEST_CACHE) > _CORE_DIGEST_LIMIT:
+        _CORE_DIGEST_CACHE.popitem(last=False)
     return core
+
+
+def _priority_column(core: _ReplayCore, pending_mask: int,
+                     priority_order: Optional[Sequence[str]]) -> List[int]:
+    """Per-id rank of the greedy dispatcher for a given priority order.
+
+    Loads named by ``priority_order`` rank at their first occurrence;
+    pending loads missing from it rank after its distinct names, by ideal
+    start time (ties by name) — the one implementation of that tie rule.
+    Every other id stays -1: it is not pending, so it is never compared.
+    """
+    column = [-1] * core.total
+    rank = 0
+    if priority_order is not None:
+        index = core.index
+        for position, name in enumerate(priority_order):
+            sid = index.get(name)
+            if sid is not None and column[sid] < 0:
+                column[sid] = position
+        rank = len(set(priority_order))
+    for sid in core.start_ids:
+        if (pending_mask >> sid) & 1 and column[sid] < 0:
+            column[sid] = rank
+            rank += 1
+    return column
 
 
 def priority_rank(placed: PlacedSchedule, pending: Iterable[str],
                   priority_order: Optional[Sequence[str]]) -> Dict[str, int]:
     """Rank map of the greedy dispatcher for a given priority order.
 
-    Loads named by ``priority_order`` keep their position; pending loads
-    missing from it are ordered after it by ideal start time.  This is the
-    exact tie-breaking contract of the monolithic replay.
+    The name-level view of the dispatcher's rank column: loads named by
+    ``priority_order`` keep their position; pending loads missing from it
+    are ordered after it by ideal start time.
     """
-    explicit_rank: Dict[str, int] = {}
-    if priority_order is not None:
-        for index, name in enumerate(priority_order):
-            explicit_rank.setdefault(name, index)
-    fallback_base = len(explicit_rank)
-    fallback_order = sorted(
-        (name for name in pending if name not in explicit_rank),
-        key=lambda n: (placed.ideal_start(n), n),
-    )
-    rank = dict(explicit_rank)
-    for offset, name in enumerate(fallback_order):
-        rank[name] = fallback_base + offset
+    core = placed.core
+    rank: Dict[str, int] = {}
+    for position, name in enumerate(priority_order or ()):
+        rank.setdefault(name, position)
+    mask = 0
+    for name in pending:
+        if name not in rank:
+            mask |= 1 << core.index[placed.placement(name).name]
+    column = _priority_column(core, mask, priority_order)
+    for value, sid in sorted((column[sid], sid) for sid in core.start_ids
+                             if (mask >> sid) & 1):
+        rank[core.names[sid]] = value
     return rank
 
 
@@ -387,13 +444,15 @@ class ReplayState:
         """
         if reconfiguration_latency < 0:
             raise SchedulingError("reconfiguration latency must be non-negative")
-        core = _core_for(placed)
+        core = placed.core
         index = core.index
         pending = 0
         drhw_mask = core.drhw_mask
         for name in loads_needed:
-            placed.placement(name)  # validates membership
-            bit = 1 << index[name]
+            sid = index.get(name)
+            if sid is None:
+                placed.placement(name)  # raises UnknownSubtaskError
+            bit = 1 << sid
             if bit & drhw_mask:
                 pending |= bit
 
@@ -912,23 +971,22 @@ class ReplayState:
         self._realized = realized
         return core.names[sid]
 
-    def _rank_column(self, rank: Mapping[str, int]) -> Tuple[List[int], int]:
+    def _rank_column(self, rank: Mapping[str, int]) -> List[int]:
         """Per-id rank column for a name-keyed priority map."""
-        fallback = len(rank)
-        column = [fallback] * self._core.total
+        column = [len(rank)] * self._core.total
         index = self._core.index
         for name, value in rank.items():
             sid = index.get(name)
             if sid is not None:
                 column[sid] = value
-        return column, fallback
+        return column
 
     def extend_greedy(self, rank: Mapping[str, int]) -> "ReplayState":
         """Issue the highest-priority enabled load (the dispatcher's pick)."""
         enabled = self.choice_ids()
         if not enabled:
             raise self._stall_error()
-        column, _ = self._rank_column(rank)
+        column = self._rank_column(rank)
         sorted_rank = self._core.sorted_rank
         sid, enable = min(
             enabled,
@@ -946,7 +1004,17 @@ class ReplayState:
         advance.  It mutates and returns ``self`` — callers that need to
         branch must use :meth:`extend` instead.
         """
-        column, _ = self._rank_column(rank)
+        return self._dispatch(self._rank_column(rank))
+
+    def run_order(self, priority_order: Optional[Sequence[str]]
+                  ) -> "ReplayState":
+        """:meth:`run` under the rank :func:`priority_rank` gives this
+        state's pending loads, with no name-keyed map in between."""
+        return self._dispatch(_priority_column(self._core, self.pending_mask,
+                                               priority_order))
+
+    def _dispatch(self, column: Sequence[int]) -> "ReplayState":
+        """The greedy dispatch loop: lowest rank, then enable, then name."""
         sorted_rank = self._core.sorted_rank
         total = self._core.total
         exec_order = self._exec_order

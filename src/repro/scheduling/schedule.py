@@ -39,10 +39,21 @@ class ResourceKind(str, Enum):
 
 @dataclass(frozen=True, order=True)
 class ResourceId:
-    """Identifier of one processing element of the platform."""
+    """Identifier of one processing element of the platform.
+
+    Its hash is computed once, from ints only (the same in every
+    interpreter, so a pickled id hashes like a freshly built one).
+    """
 
     kind: ResourceKind
     index: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash",
+                           hash((self.kind is ResourceKind.TILE, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.kind.value}{self.index}"
@@ -83,7 +94,9 @@ class PlacedSchedule:
 
     The placed schedule is immutable once built.  It knows nothing about
     reconfiguration: its start times are the "ideal" times the overhead
-    metrics are measured against.
+    metrics are measured against.  Its views are computed once, in
+    ``__init__`` (the accessors return fresh lists and dicts), and the
+    run-time facts the per-task path reads live on :attr:`core`.
     """
 
     def __init__(self, graph: TaskGraph,
@@ -102,13 +115,37 @@ class PlacedSchedule:
                 f"subtasks: {extra}"
             )
         self._placements: Dict[str, PlacedSubtask] = dict(placements)
-        self._resource_order: Dict[ResourceId, List[str]] = {}
+        order: Dict[ResourceId, List[str]] = {}
         for placement in sorted(self._placements.values(),
                                 key=lambda p: (p.start, p.name)):
-            self._resource_order.setdefault(placement.resource, []).append(
-                placement.name
-            )
+            order.setdefault(placement.resource, []).append(placement.name)
+        self._resource_order: Dict[ResourceId, Tuple[str, ...]] = {
+            resource: tuple(names) for resource, names in order.items()}
+        self._resources = tuple(sorted(self._resource_order))
+        self._tiles_used = tuple(r for r in self._resources if r.is_tile)
+        self._drhw_names = tuple(n for n, p in self._placements.items()
+                                 if p.resource.is_tile)
+        self._first_on_tile = {r: names[0] for r, names
+                               in self._resource_order.items() if r.is_tile}
+        self._makespan = max((p.finish for p in self._placements.values()),
+                             default=0.0)
+        self._core = None
         self._validate()
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Cores are interned per process: re-intern by digest on first use.
+        return {**self.__dict__, "_core": None}
+
+    @property
+    def core(self):
+        """The interned :class:`~repro.scheduling.replay._ReplayCore`,
+        built on first use and shared by content-equal schedules."""
+        core = self._core
+        if core is None:
+            from .replay import _intern_core
+
+            core = self._core = _intern_core(self)
+        return core
 
     # ------------------------------------------------------------------ #
     def _validate(self) -> None:
@@ -178,16 +215,16 @@ class PlacedSchedule:
     @property
     def resources(self) -> List[ResourceId]:
         """Resources actually used by the schedule, in sorted order."""
-        return sorted(self._resource_order)
+        return list(self._resources)
 
     @property
     def tiles_used(self) -> List[ResourceId]:
         """DRHW tiles actually used by the schedule."""
-        return [r for r in self.resources if r.is_tile]
+        return list(self._tiles_used)
 
     def resource_order(self, resource: ResourceId) -> List[str]:
         """Subtasks placed on ``resource``, ordered by ideal start time."""
-        return list(self._resource_order.get(resource, []))
+        return list(self._resource_order.get(resource, ()))
 
     def position_on_resource(self, name: str) -> int:
         """Zero-based position of ``name`` in its resource's ordering."""
@@ -204,15 +241,12 @@ class PlacedSchedule:
     @property
     def makespan(self) -> float:
         """Ideal makespan (finish of the last subtask, no reconfiguration)."""
-        if not self._placements:
-            return 0.0
-        return max(p.finish for p in self._placements.values())
+        return self._makespan
 
     @property
     def drhw_names(self) -> List[str]:
         """Names of the subtasks placed on DRHW tiles."""
-        return [name for name, placement in self._placements.items()
-                if placement.resource.is_tile]
+        return list(self._drhw_names)
 
     def first_on_tile(self) -> Dict[ResourceId, str]:
         """The first subtask scheduled on every used tile.
@@ -221,9 +255,7 @@ class PlacedSchedule:
         previous task execution (later subtasks on the same tile overwrite
         whatever was resident).
         """
-        return {resource: names[0]
-                for resource, names in self._resource_order.items()
-                if resource.is_tile and names}
+        return dict(self._first_on_tile)
 
 
 # ---------------------------------------------------------------------- #

@@ -61,7 +61,13 @@ must be strict JSON: ``NaN``, ``Infinity``, ``-Infinity`` and numbers
 too large for a float get a 400.  Fields are typed strictly: an integer
 field takes neither ``true`` nor ``1.5``, a number field takes no
 boolean, a flag takes only ``true``/``false`` and a name only a string;
-anything else is a 400, never a coerced value.  Errors are
+anything else is a 400, never a coerced value.  The work one request
+may ask for is capped (``MAX_TILES`` and ``MAX_ITERATIONS`` in
+:mod:`repro.service.server`): a ``tile_count`` over 1024 on any
+endpoint, or more than 20,000 simulated iterations in one request
+(``iterations`` on ``/simulate``, grid points x ``iterations`` on
+``/robustness``), is a 400 naming the field and the cap, answered before
+admission, so one request cannot hold the compute lock for days.  Errors are
 ``{"error": "..."}`` with status 400 (bad request), 404 (unknown
 endpoint), 413 (body over 1 MiB), 429 (shed; plus ``"retry_after"`` and
 a ``Retry-After`` header) or 500.  Responses answered from another request's in-flight

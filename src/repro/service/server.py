@@ -56,6 +56,16 @@ DEFAULT_PORT = 8642
 #: few KB.  A larger ``Content-Length`` is answered 413 unread.
 MAX_BODY_BYTES = 1 << 20
 
+#: Caps on the work one request may ask for.  Compute grows linearly in
+#: both and one ``compute_lock`` serializes all of it, so an uncapped
+#: request could hold every other client off for days or exhaust memory.
+#: ``MAX_TILES`` bounds every endpoint's ``tile_count``; ``MAX_ITERATIONS``
+#: bounds a request's total simulated iterations: ``iterations`` on
+#: ``/simulate``, grid points x ``iterations`` on ``/robustness``.  Paper
+#: scale is 1000 iterations at 16 tiles.
+MAX_TILES = 1024
+MAX_ITERATIONS = 20_000
+
 #: A JSON-ready response: (HTTP status, body).
 Response = Tuple[int, Dict[str, object]]
 
@@ -107,6 +117,23 @@ def _str(value: object, what: str) -> str:
     if type(value) is not str:
         raise BadRequest(f"{what} must be a string, got {value!r}")
     return value
+
+
+def _at_most(value: int, cap: int, what: str) -> int:
+    """``value``, unless it is over ``cap`` (a 400 naming both)."""
+    if value > cap:
+        raise BadRequest(f"{what} must be at most {cap}, got {value}",
+                         detail={"cap": cap})
+    return value
+
+
+def _tile_count(payload: Dict[str, object]) -> int:
+    """``tile_count`` (alias ``tiles``, default 8), capped at MAX_TILES."""
+    if "tile_count" in payload and "tiles" in payload:
+        raise BadRequest("give either 'tile_count' or 'tiles', not both")
+    tiles = _int(payload.get("tile_count", payload.get("tiles", 8)),
+                 "'tile_count'")
+    return _at_most(tiles, MAX_TILES, "'tile_count'")
 
 
 def _list(parse: Callable[[object, str], object], value: object,
@@ -174,16 +201,16 @@ _SIMULATE_FIELDS = (
 def point_from_payload(payload: Dict[str, object]) -> SweepPoint:
     """Build the :class:`SweepPoint` a ``/simulate`` payload describes."""
     _check_keys(payload, _SIMULATE_FIELDS, "simulate")
-    if "tile_count" in payload and "tiles" in payload:
-        raise BadRequest("give either 'tile_count' or 'tiles', not both")
+    tiles = _tile_count(payload)
     deadline = payload.get("deadline")
     return SweepPoint(
         workload=workload_spec_from(payload.get("workload", "multimedia")),
         approach=approach_spec_from(payload.get("approach", "hybrid")),
-        tile_count=_int(payload.get("tile_count", payload.get("tiles", 8)),
-                        "'tile_count'"),
+        tile_count=tiles,
         seed=_int(payload.get("seed", 2005), "'seed'"),
-        iterations=_int(payload.get("iterations", 300), "'iterations'"),
+        iterations=_at_most(_int(payload.get("iterations", 300),
+                                 "'iterations'"),
+                            MAX_ITERATIONS, "'iterations'"),
         point_selection=_str(payload.get("point_selection", "fastest"),
                              "'point_selection'"),
         deadline=None if deadline is None else _float(deadline,
@@ -297,14 +324,10 @@ class ReproService:
     def _handle_schedule(self, payload: Dict[str, object]) -> Response:
         _check_keys(payload, ("task", "tile_count", "tiles", "latency",
                               "reused"), "schedule")
-        if "tile_count" in payload and "tiles" in payload:
-            raise BadRequest("give either 'tile_count' or 'tiles', "
-                             "not both")
+        tiles = _tile_count(payload)
         task = payload.get("task")
         if not isinstance(task, str):
             raise BadRequest("schedule payload needs a 'task' name")
-        tiles = _int(payload.get("tile_count", payload.get("tiles", 8)),
-                     "'tile_count'")
         latency = _float(payload.get("latency", 4.0), "'latency'")
         reused_raw = payload.get("reused", [])
         if (not isinstance(reused_raw, (list, tuple))
@@ -367,9 +390,7 @@ class ReproService:
         _check_keys(payload, ("workload", "tile_count", "tiles",
                               "approaches", "levels", "seeds", "iterations",
                               "metric"), "robustness")
-        if "tile_count" in payload and "tiles" in payload:
-            raise BadRequest("give either 'tile_count' or 'tiles', "
-                             "not both")
+        tiles = _tile_count(payload)
         workload = workload_spec_from(payload.get("workload", "multimedia"))
         approaches_raw = payload.get("approaches", ["hybrid"])
         if not isinstance(approaches_raw, (list, tuple)) or not approaches_raw:
@@ -379,9 +400,10 @@ class ReproService:
                        "'levels'")
         seeds = _list(_int, payload.get("seeds", [2005, 2006, 2007]),
                       "'seeds'")
-        tiles = _int(payload.get("tile_count", payload.get("tiles", 8)),
-                     "'tile_count'")
         iterations = _int(payload.get("iterations", 60), "'iterations'")
+        points = len(approaches) * len(levels) * len(seeds)
+        _at_most(points * iterations, MAX_ITERATIONS,
+                 f"'iterations' x {points} grid points")
         metric = _str(payload.get("metric", "overhead_percent"), "'metric'")
         valid_metrics = set(SimulationMetrics.__dataclass_fields__) | {
             name for name, attr in vars(SimulationMetrics).items()

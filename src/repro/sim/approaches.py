@@ -69,7 +69,6 @@ from ..core.intertask import (
 )
 from ..core.store import DesignTimeStore
 from ..errors import ConfigurationError
-from ..graphs.taskgraph import TaskGraph
 from ..reuse.reuse import ReuseDecision, ReuseModule
 from ..scheduling.base import PrefetchProblem, PrefetchScheduler
 from ..scheduling.evaluator import replay_schedule
@@ -136,12 +135,12 @@ class TaskSchedule:
         other tile once it is idle, but not before the task's release.
         """
         releases: Dict[int, float] = {}
+        tile_runs = self.placed.core.tile_runs
         for logical, physical in self.decision.tile_binding.items():
-            if logical.is_tile:
-                releases[physical] = max(
-                    self.executions[name].finish
-                    for name in self.placed.resource_order(logical)
-                )
+            run = tile_runs.get(logical)
+            if run is not None:
+                releases[physical] = max(self.executions[name].finish
+                                         for name, _ in run)
         return {tile.index: releases.get(
                     tile.index, max(ctx.release_time, tile.busy_until))
                 for tile in ctx.state.tiles}
@@ -240,7 +239,7 @@ class SchedulingApproach(abc.ABC):
             reuse_operations=decision.operations,
             energy=ctx.state.platform.energy.task_energy(
                 loads=len(loads),
-                busy_time=placed.graph.total_execution_time,
+                busy_time=placed.core.total_execution_time,
             ),
         )
         plan = TaskPlan(
@@ -340,12 +339,22 @@ def _point_key(scheduled: ScheduledTask) -> Tuple[str, str, str]:
             scheduled.point_key)
 
 
-def _requests(graph: TaskGraph,
-              subtasks: Iterable[str]) -> List[PrefetchRequest]:
-    """Inter-task prefetch requests for ``subtasks`` of ``graph``, in order."""
-    return [PrefetchRequest(subtask=name,
-                            configuration=graph.subtask(name).configuration)
-            for name in subtasks]
+def _requests(placed: PlacedSchedule,
+              subtasks: Sequence[str]) -> Tuple[PrefetchRequest, ...]:
+    """Inter-task prefetch requests for ``subtasks`` of ``placed``, in order.
+
+    The orders asked for are static (a load order, a critical subset), so
+    each is built once and kept on the schedule's core."""
+    core = placed.core
+    key = tuple(subtasks)
+    requests = core.requests.get(key)
+    if requests is None:
+        index, configuration = core.index, core.configuration
+        requests = core.requests[key] = tuple(
+            PrefetchRequest(subtask=name,
+                            configuration=configuration[index[name]])
+            for name in key)
+    return requests
 
 
 # ---------------------------------------------------------------------- #
@@ -475,8 +484,7 @@ class DesignTimePrefetchApproach(SchedulingApproach):
                    for tile, available
                    in schedule.tile_availability(ctx).items()]
         plan = plan_intertask_prefetch(
-            requests=_requests(ctx.next_scheduled.point.placed.graph,
-                               next_order),
+            requests=_requests(ctx.next_scheduled.point.placed, next_order),
             tiles=windows,
             controller_free=controller_free,
             task_finish=schedule.makespan,
@@ -501,7 +509,7 @@ class RunTimeApproach(SchedulingApproach):
     def schedule_task(self, ctx: TaskContext) -> TaskSchedule:
         # The next task's configurations are protected from eviction.
         next_task = ctx.next_scheduled
-        upcoming = (tuple(next_task.point.placed.graph.configurations)
+        upcoming = (next_task.point.placed.core.configurations
                     if next_task is not None else ())
         decision = ctx.reuse_module.analyze(
             ctx.placed, ctx.state.tiles, now=ctx.release_time,
@@ -517,14 +525,15 @@ class RunTimeApproach(SchedulingApproach):
                                     self._next_task_requests(ctx),
                                     controller_free)
 
-    def _next_task_requests(self, ctx: TaskContext) -> List[PrefetchRequest]:
+    def _next_task_requests(self, ctx: TaskContext
+                            ) -> Sequence[PrefetchRequest]:
         """Loads of the next task, in the run-time heuristic's priority order."""
         next_placed = ctx.next_scheduled.point.placed
         order = self._scheduler.load_order(PrefetchProblem(
             placed=next_placed,
             reconfiguration_latency=ctx.reconfiguration_latency,
         ))
-        return _requests(next_placed.graph, order)
+        return _requests(next_placed, order)
 
 
 class RunTimeInterTaskApproach(RunTimeApproach):
@@ -612,7 +621,8 @@ class AdaptivePrefetchApproach(RunTimeApproach):
         self._depth = min(float(self.max_depth),
                           max(float(self.headroom), depth))
 
-    def _next_task_requests(self, ctx: TaskContext) -> List[PrefetchRequest]:
+    def _next_task_requests(self, ctx: TaskContext
+                            ) -> Sequence[PrefetchRequest]:
         requests = super()._next_task_requests(ctx)
         return requests[:self.depth]
 
@@ -661,13 +671,11 @@ class HybridApproach(SchedulingApproach):
 
     def schedule_task(self, ctx: TaskContext) -> TaskSchedule:
         entry = self.store.get(*_point_key(ctx.scheduled))
-        upcoming = set(self._critical_configurations)
-        if ctx.next_scheduled is not None:
-            upcoming.update(self.store.get(
-                *_point_key(ctx.next_scheduled)).critical_configurations)
+        # The union of every task's critical configurations already holds
+        # the next task's (the replacement policy only tests membership).
         decision = ctx.reuse_module.analyze(
             entry.placed, ctx.state.tiles, now=ctx.release_time,
-            upcoming_configurations=tuple(upcoming),
+            upcoming_configurations=self._critical_configurations,
         )
         execution = self._heuristic.run_time(
             entry,
@@ -697,7 +705,7 @@ class HybridApproach(SchedulingApproach):
         entry = self.store.get(*_point_key(ctx.next_scheduled))
         return self._plan_intertask(
             ctx, schedule,
-            _requests(entry.placed.graph, entry.critical_subtasks),
+            _requests(entry.placed, entry.critical_subtasks),
             controller_free,
             avoid_configurations=self._critical_configurations,
         )

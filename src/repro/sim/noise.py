@@ -332,12 +332,15 @@ def realize_task(plan: TaskPlan, model: NoiseModel, latency: float,
     name order, latency and fault draws follow the committed port order.
     """
     config = model.config
+    core = plan.placed.core
     # Without execution noise the kernel keeps the graph's estimates (a
     # planned entry's finish - start can differ from them in the last bit).
     durations = None
     if config.execution_sigma > 0.0:
-        durations = {name: model.realized_duration(entry.finish - entry.start)
-                     for name, entry in sorted(plan.executions.items())}
+        executions = plan.executions
+        durations = {name: model.realized_duration(
+            executions[name].finish - executions[name].start)
+            for name in core.sorted_names}
 
     loads_failed = 0
     load_finish: Dict[str, float] = {}
@@ -378,12 +381,11 @@ def realize_task(plan: TaskPlan, model: NoiseModel, latency: float,
     # Realized release of every physical tile the task used (inter-task
     # prefetches must wait for the tile's last subtask to finish).
     tile_release: Dict[int, float] = {}
+    tile_last = core.tile_last
     for logical, physical in plan.tile_binding.items():
-        if not logical.is_tile:
-            continue
-        names = plan.placed.resource_order(logical)
-        if names:
-            tile_release[physical] = exec_finish[names[-1]]
+        last = tile_last.get(logical)
+        if last is not None:
+            tile_release[physical] = exec_finish[last]
 
     intertask: List[RealizedLoad] = []
     abandoned: List[RealizedLoad] = []
@@ -463,13 +465,11 @@ def apply_realization(state, plan: TaskPlan, realized: RealizedTask) -> None:
     completion times, abandoned ones invalidate their tile (the aborted
     write leaves no usable configuration behind).
     """
+    tile_last = plan.placed.core.tile_last
     for logical, physical in plan.tile_binding.items():
-        if not logical.is_tile:
+        last = tile_last.get(logical)
+        if last is None:
             continue
-        names = plan.placed.resource_order(logical)
-        if not names:
-            continue
-        last = names[-1]
         tile = state.tiles[physical]
         tile.busy_until = realized.execution_finishes[last]
         tile.last_used_at = realized.execution_starts[last]

@@ -87,14 +87,14 @@ class SystemState:
             entries fall back to the subtask's execution start).
         """
         reused_set = set(reused)
-        graph = placed.graph
+        tile_runs = placed.core.tile_runs
         for logical, physical in tile_binding.items():
-            if not logical.is_tile:
+            run = tile_runs.get(logical)
+            if run is None:  # not a tile this schedule uses
                 continue
             tile = self.tiles[physical]
-            for name in placed.resource_order(logical):
+            for name, configuration in run:
                 entry = executions[name]
-                configuration = graph.subtask(name).configuration
                 if not (name in reused_set and tile.holds(configuration)):
                     completion = load_finish_times.get(name, entry.start)
                     tile.load(configuration, completion)

@@ -21,6 +21,8 @@ from repro.service import (
 )
 from repro.service.server import (
     MAX_BODY_BYTES,
+    MAX_ITERATIONS,
+    MAX_TILES,
     _RequestHandler,
     approach_spec_from,
     workload_spec_from,
@@ -216,6 +218,42 @@ class TestEndpoints:
         status, body = service.handle(endpoint, {**payload, field: value})
         assert status == 400, body
         assert "must be" in body["error"]
+
+    @pytest.mark.parametrize("endpoint, field, value", [
+        ("/simulate", "tile_count", MAX_TILES + 1),
+        ("/simulate", "tiles", 20_000),
+        ("/simulate", "iterations", MAX_ITERATIONS + 1),
+        ("/schedule", "tile_count", MAX_TILES + 1),
+        ("/robustness", "tiles", MAX_TILES + 1),
+        # Two seeds: each point is under the cap, the grid is not.
+        ("/robustness", "iterations", MAX_ITERATIONS // 2 + 1),
+    ], ids=["simulate-tiles", "simulate-tiles-alias", "simulate-iterations",
+            "schedule-tiles", "robustness-tiles", "robustness-grid"])
+    def test_over_cap_request_is_400_before_any_compute(
+            self, service, endpoint, field, value):
+        payload = {
+            "/simulate": {"workload": SYNTH_PAYLOAD, "iterations": ITERATIONS},
+            "/schedule": {"task": "jpeg_decoder"},
+            "/robustness": {"workload": SYNTH_PAYLOAD, "tiles": 4,
+                            "iterations": ITERATIONS, "levels": [0.0],
+                            "seeds": [1, 2], "approaches": ["hybrid"]},
+        }[endpoint]
+        status, body = service.handle(endpoint, {**payload, field: value})
+        assert status == 400, body
+        cap, named = ((MAX_TILES, "'tile_count'") if "tile" in field
+                      else (MAX_ITERATIONS, "'iterations'"))
+        assert body["cap"] == cap
+        assert str(cap) in body["error"] and named in body["error"]
+        assert service.state.simulations == 0
+        assert service.metrics.snapshot()["endpoints"][
+            endpoint.strip("/")]["computed"] == 0
+
+    def test_requests_at_the_caps_are_admitted(self, service):
+        assert point_from_payload({"tile_count": MAX_TILES,
+                                   "iterations": MAX_ITERATIONS})
+        status, body = service.handle("/schedule", {"task": "jpeg_decoder",
+                                                    "tile_count": MAX_TILES})
+        assert status == 200, body
 
     def test_integral_number_field_is_accepted(self, service):
         status, body = service.handle("/schedule",

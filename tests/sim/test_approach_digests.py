@@ -29,6 +29,7 @@ from repro.sim.approaches import (
 from repro.sim.noise import PerturbationConfig
 from repro.sim.simulator import SimulationConfig, SystemSimulator
 from repro.tcm.design_time import TcmDesignTimeScheduler
+from repro.workloads.multimedia import MultimediaWorkload
 from repro.workloads.pocketgl import PocketGLWorkload
 from repro.workloads.synthetic import SyntheticSpec, SyntheticWorkload
 
@@ -51,6 +52,8 @@ WORKLOADS = {
     "synthetic": lambda: SyntheticWorkload(spec=SyntheticSpec(
         task_count=3, subtasks_per_task=6, seed=11)),
     "pocketgl": PocketGLWorkload,
+    # The daemon's /simulate workload (multimedia at 6 tiles).
+    "multimedia": MultimediaWorkload,
 }
 
 SETTINGS = {
@@ -125,6 +128,38 @@ DIGESTS = {
         "4986e5515457f6b884ba2d0dccbb645b344520957713592de6d0581327e8e402",
     "pocketgl/noisy/hybrid(use_intertask=False)":
         "e495b09c3cef4cfae6479e21ab947e114279e0d93e76b3e08669bd54c21ccb5d",
+    "multimedia/clean/no-prefetch":
+        "09cfa46fc7f882e0a51feb14ce96af99072f3e0825bbf426831f5a0e22d4b371",
+    "multimedia/clean/design-time":
+        "e8ded18371ace8e071f29009e8b70e2d1cc88b775d7a5ec254a862e2e6f130eb",
+    "multimedia/clean/design-time(static_intertask=True)":
+        "0d4dc1eee15f3e18ac3334e793e72ee8bc894daad33a5adbf882294eef1843c2",
+    "multimedia/clean/run-time":
+        "3100d20e029a281f79cb434c35d282f4d15a544a4b4c3b22eaca8949f2454f49",
+    "multimedia/clean/run-time+inter-task":
+        "3db17f749b0a7ef1900f44888eddbeff7a8dc5ebdc203106a0b6c56682a49392",
+    "multimedia/clean/adaptive":
+        "e6eae51e6dcf49121ae2a017534eb92aca6052ad482159cbe63c18c20250f34b",
+    "multimedia/clean/hybrid":
+        "f449141d784d07ba11e8432d1d1cea6a0d74eb0fd9e0b997f02047de102f62a0",
+    "multimedia/clean/hybrid(use_intertask=False)":
+        "c44c963d9449194cf66844417fb6be1ba3a636b127bdff45e783f12f3314d30b",
+    "multimedia/noisy/no-prefetch":
+        "6f887ffe41f7825708ed245bdcaad0e152fdd7a48cb13570dcb8612bb7e09efa",
+    "multimedia/noisy/design-time":
+        "73cc2d93da50cfa2746fc99b8ab0f23795a2c94c19126f860e5e45b94baac294",
+    "multimedia/noisy/design-time(static_intertask=True)":
+        "84bf2e5309fc18d309e82de56c4d61600da66e72b6300e1ab36d035a546ea5ed",
+    "multimedia/noisy/run-time":
+        "3d4693fdab2304733bbd8cf9043d6800361bbfaffaf7db6867d20c5f8d6498bc",
+    "multimedia/noisy/run-time+inter-task":
+        "c652b447bd9047120434837d16a3938be23d15c91a8a24a130d2eec2ecd5fc12",
+    "multimedia/noisy/adaptive":
+        "710e510648d601eca01d9b3d45a9d92ad63bce7e316d78388680161319ef315c",
+    "multimedia/noisy/hybrid":
+        "6dd65fa866f5b47459e28e2d6c3c9a3f33010646b8796f0a6173bb25fbbf4634",
+    "multimedia/noisy/hybrid(use_intertask=False)":
+        "020f3e386bf93966a23542a934e56931cb9c1c0d416fba61d2761e58e81d75c6",
 }
 
 
