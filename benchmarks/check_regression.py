@@ -294,8 +294,8 @@ def profile_corpus(top: int = 20, stream=None) -> None:
 
     One report per problem, sorted by *cumulative* time and truncated to
     the ``top`` entries — the view that attributes cost to the replay
-    kernel's layers (``_advance``/``_execute``/``signature``/bound
-    evaluation) rather than to interpreter plumbing.  Development aid
+    kernel's layers (``_advance``/``signature``/bound evaluation) rather
+    than to interpreter plumbing.  Development aid
     only: the profiler's tracing makes these runs several times slower
     than plain ones, so none of the printed times are comparable to the
     committed baseline's ``wall_ms``.

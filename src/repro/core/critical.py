@@ -25,6 +25,7 @@ As-Late-As-Possible view), so critical-path subtasks are selected first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SchedulingError
@@ -95,11 +96,14 @@ class CriticalSubtaskResult:
         """Number of penalty evaluations performed by the selection loop."""
         return len(self.steps)
 
-    @property
+    @cached_property
     def non_critical_loads(self) -> Tuple[str, ...]:
         """DRHW subtasks that the design-time schedule loads (non-CS), in
-        the order the design-time prefetch schedule issues them."""
-        return tuple(load.subtask for load in self.schedule.timed.loads)
+        the order the design-time prefetch schedule issues them: a
+        design-time fact, read off the schedule's columns once."""
+        timed = self.schedule.timed
+        names = timed.placed.core.names
+        return tuple(names[lid] for lid in timed.columns.load_ids)
 
 
 #: Strategies for picking the next critical subtask among delay generators.

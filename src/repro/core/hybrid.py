@@ -209,7 +209,7 @@ class HybridPrefetchHeuristic:
         """
         decision = run_time_phase(entry, reusable)
         placed = entry.placed
-        graph = placed.graph
+        core = placed.core
         latency = entry.reconfiguration_latency
 
         controller = max(release_time,
@@ -217,13 +217,13 @@ class HybridPrefetchHeuristic:
                          else release_time)
         initialization: List[LoadEntry] = []
         for name in decision.initialization_loads:
-            start = controller
-            finish = start + latency
+            sid = core.index[name]
+            finish = controller + latency
             initialization.append(LoadEntry(
                 subtask=name,
-                configuration=graph.subtask(name).configuration,
-                resource=placed.resource_of(name),
-                start=start,
+                configuration=core.configuration[sid],
+                resource=core.resources[core.resource_of[sid]],
+                start=controller,
                 finish=finish,
             ))
             controller = finish

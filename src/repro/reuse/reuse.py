@@ -18,6 +18,7 @@ same tile overwrites whatever was loaded before it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import PlatformError
@@ -38,17 +39,26 @@ class ReuseDecision:
     reused:
         Subtasks whose configuration is already resident on the physical
         tile they were bound to (no load needed).
-    subtask_tiles:
-        Physical tile that will host every DRHW subtask of the task.
     operations:
         Number of elementary comparisons performed by the analysis — the
         run-time cost that is shared by every scheduling approach.
+    drhw_tiles:
+        ``(name, logical tile)`` of every DRHW subtask, the placed
+        schedule's static fact :attr:`subtask_tiles` is built from.
     """
 
     tile_binding: Dict[ResourceId, int]
     reused: FrozenSet[str]
-    subtask_tiles: Dict[str, int]
     operations: int = 0
+    drhw_tiles: Tuple[Tuple[str, ResourceId], ...] = field(default=(),
+                                                           repr=False)
+
+    @cached_property
+    def subtask_tiles(self) -> Dict[str, int]:
+        """Physical tile that will host every DRHW subtask of the task
+        (built on first read)."""
+        binding = self.tile_binding
+        return {name: binding[logical] for name, logical in self.drhw_tiles}
 
     @property
     def reuse_count(self) -> int:
@@ -140,10 +150,9 @@ class ReuseModule:
                 binding[logical] = victim
                 assigned_physical.add(victim)
 
-        subtask_tiles = {name: binding[logical]
-                         for name, logical in core.drhw_tiles}
         return ReuseDecision(tile_binding=binding, reused=frozenset(reused),
-                             subtask_tiles=subtask_tiles, operations=operations)
+                             operations=operations,
+                             drhw_tiles=core.drhw_tiles)
 
 
 def resident_configurations(tiles: Sequence[TileState]) -> Dict[str, Tuple[int, ...]]:

@@ -16,10 +16,12 @@ and a load priority order, it replays the execution on the platform model:
 * whenever the port is free, the highest-priority enabled load is issued
   (greedy list dispatch).
 
-The function returns a :class:`~repro.scheduling.schedule.TimedSchedule`
-recording every load and execution together with the binding constraint of
-every start time, which the critical-subtask selection uses to find the
-subtasks "that generate delays".
+The function returns a :class:`~repro.scheduling.schedule.TimedSchedule`,
+a view over the kernel's columns: every load and execution with the
+binding constraint of every start time, which the critical-subtask
+selection uses to find the subtasks "that generate delays".  The
+simulator's per-task path reads the columns by subtask id; the entries
+are built only when something reads them.
 
 Since the introduction of the incremental replay kernel this is a thin
 wrapper over :class:`repro.scheduling.replay.ReplayState`: the state is

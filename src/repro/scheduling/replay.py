@@ -16,18 +16,20 @@ dispatcher of the paper as an explicit state machine:
   load **in place** through an explicit undo log, so a depth-first search
   can walk the whole dispatch tree on one state with ``O(affected
   entries)`` work per edge — no snapshot copies at all;
-* :meth:`ReplayState.finish` materializes a
-  :class:`~repro.scheduling.schedule.TimedSchedule` bit-identical to the
-  one the monolithic :func:`repro.scheduling.evaluator.replay_schedule`
-  produces for the same issue sequence.
+* :meth:`ReplayState.finish` returns the completed replay as a
+  :class:`~repro.scheduling.schedule.TimedSchedule`: a view over a copy
+  of the kernel's columns (:class:`~repro.scheduling.schedule.ReplayColumns`)
+  and its tracked makespan, whose entries are bit-identical to the ones
+  the monolithic replay loop produces for the same issue sequence.
 
 Two further knobs serve the perturbation layer's realization
-(:func:`repro.sim.noise.realize_task`) only: a per-subtask ``durations``
-column on :meth:`ReplayState.start` that replaces the design-time
-execution times, and the forced :meth:`ReplayState.issue`, which holds
-the port for a load's drawn attempt spans instead of one latency.  They
-never reach a search, a signature or a transposition table: no scheduler
-starts a state with ``durations`` or issues through :meth:`issue`.
+(:func:`repro.sim.noise.realize_task`) only: a ``durations`` column,
+indexed by subtask id, on :meth:`ReplayState.start` that replaces the
+design-time execution times, and the forced :meth:`ReplayState.issue`,
+which holds the port for a load's drawn attempt spans instead of one
+latency.  They never reach a search, a signature or a transposition
+table: no scheduler starts a state with ``durations`` or issues through
+:meth:`issue`.
 
 Flat integer representation
 ---------------------------
@@ -54,9 +56,15 @@ state becomes preallocated per-id/per-resource columns:
 :meth:`push`/:meth:`pop` patch these columns in place: an undo frame
 records only the pre-push controller time, floors and the execution-log
 length; undoing replays the log tail backwards, restoring each touched
-tile's free time and frontier index.  Entry objects
-(:class:`~repro.scheduling.schedule.ExecutionEntry`/``LoadEntry``) are
-materialized once, in :meth:`finish` — never on the search path.
+tile's free time and frontier index.  One loop executes a batch:
+:meth:`ReplayState._advance` collects the resources whose next subtask
+may run and executes each inline (start time, binding constraint,
+successor counts, makespan and floor), with no method call per
+execution; a communication callback is a branch inside that loop.  Entry
+objects (:class:`~repro.scheduling.schedule.ExecutionEntry`/``LoadEntry``)
+are built on first read of the returned schedule — never on the search
+path, and never on the simulator's per-task path, which reads the
+columns by subtask id.
 
 Invariants the kernel maintains (and that its users rely on):
 
@@ -169,10 +177,9 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from ..errors import InfeasibleScheduleError, SchedulingError
 from .schedule import (
     ExecutionEntry,
-    LoadEntry,
     PlacedSchedule,
+    ReplayColumns,
     ResourceId,
-    StartConstraint,
     TIME_EPSILON,
     TimedSchedule,
 )
@@ -180,12 +187,6 @@ from .schedule import (
 #: Signature of an optional communication-latency callback:
 #: ``(producer, consumer, producer_resource, consumer_resource) -> latency``.
 CommunicationFn = Callable[[str, str, ResourceId, ResourceId], float]
-
-#: Constraint-code decode table: the byte stored per execution indexes
-#: this tuple.  Order matters — it is the candidate priority order of the
-#: dispatcher's tie-break (see :meth:`ReplayState._execute`).
-_CONSTRAINTS = (StartConstraint.RELEASE, StartConstraint.PREDECESSOR,
-                StartConstraint.RESOURCE, StartConstraint.LOAD)
 
 _NEG_INF = float("-inf")
 
@@ -209,7 +210,8 @@ class _ReplayCore:
     ``(-weight, ideal start, name)``, filtered by ``reused`` per call
     (exact: every key ends in the unique name), and ``start_ids`` (every
     id by ideal start, then name); per tile, ``tile_runs`` (its
-    ``(subtask, configuration)`` run) and ``tile_last``; ``sorted_names``,
+    ``(id, subtask, configuration)`` run) and ``tile_last`` (its last
+    id); ``sorted_names`` and ``sorted_ids`` (every id in name order),
     ``total_execution_time``, ``configurations``; and ``requests``, the
     inter-task request tuples :mod:`repro.sim.approaches` builds once.
 
@@ -226,7 +228,7 @@ class _ReplayCore:
         "exec_time", "ideal_start", "position", "resource_of",
         "configuration", "drhw_mask", "reuse_tiles",
         "drhw_tiles", "by_start", "by_start_weight", "by_weight",
-        "start_ids", "tile_runs", "tile_last", "sorted_names",
+        "start_ids", "tile_runs", "tile_last", "sorted_names", "sorted_ids",
         "total_execution_time", "configurations", "requests",
     )
 
@@ -240,9 +242,10 @@ class _ReplayCore:
         # Rank of each id under ascending-name order: any tie-break "by
         # name" is equivalently (and much more cheaply) "by sorted_rank".
         self.sorted_names = tuple(sorted(names))
+        self.sorted_ids = tuple(index[name] for name in self.sorted_names)
         rank = array("l", [0] * self.total)
-        for position, name in enumerate(self.sorted_names):
-            rank[index[name]] = position
+        for position, sid in enumerate(self.sorted_ids):
+            rank[sid] = position
         self.sorted_rank = tuple(rank)
         self.resources: Tuple[ResourceId, ...] = tuple(placed.resources)
         self.sequences: Tuple[Tuple[int, ...], ...] = tuple(
@@ -289,10 +292,10 @@ class _ReplayCore:
             for sid in range(self.total) if (mask >> sid) & 1)
         tiles = [(resource, sequence) for resource, sequence
                  in zip(self.resources, self.sequences) if resource.is_tile]
-        self.tile_runs = {tile: tuple((names[sid], configuration[sid])
+        self.tile_runs = {tile: tuple((sid, names[sid], configuration[sid])
                                       for sid in sequence)
                           for tile, sequence in tiles}
-        self.tile_last = {tile: names[sequence[-1]] for tile, sequence in tiles}
+        self.tile_last = {tile: sequence[-1] for tile, sequence in tiles}
         tiles.sort(key=lambda item: (-weight[item[1][0]], item[0].index))
         self.reuse_tiles = tuple((tile, names[sequence[0]],
                                   configuration[sequence[0]])
@@ -416,7 +419,7 @@ class ReplayState:
         "_done", "_constraint", "_starts", "_finishes", "_pred_left",
         "_loaded", "_load_finish", "_next_index", "_resource_free",
         "_exec_order", "_prev_free", "_load_ids", "_load_starts",
-        "_floor", "_realized", "_undo",
+        "_load_finishes", "_floor", "_realized", "_undo",
     )
 
     # ------------------------------------------------------------------ #
@@ -432,15 +435,16 @@ class ReplayState:
               controller_available: Optional[float] = None,
               communication: Optional[CommunicationFn] = None,
               weights: Optional[Mapping[str, float]] = None,
-              durations: Optional[Mapping[str, float]] = None
+              durations: Optional[Sequence[float]] = None
               ) -> "ReplayState":
         """Initial state: no load issued, executions advanced to quiescence.
 
         Parameters mirror :func:`repro.scheduling.evaluator.replay_schedule`;
         ``weights`` optionally enables the realized makespan floor used by
         branch-and-bound bounds (see the module docstring).  ``durations``
-        (every subtask's realized execution time, by name) replaces the
-        graph's execution times — realization only.
+        (every subtask's realized execution time, a column indexed by
+        subtask id) replaces the graph's execution times — realization
+        only.
         """
         if reconfiguration_latency < 0:
             raise SchedulingError("reconfiguration latency must be non-negative")
@@ -487,7 +491,7 @@ class ReplayState:
         )
         state.pending_mask = pending
         state._exec_time = (core.exec_time if durations is None
-                            else [durations[name] for name in core.names])
+                            else list(durations))
         state._done = bytearray(total)
         state._constraint = bytearray(total)
         state._starts = [0.0] * total
@@ -501,6 +505,7 @@ class ReplayState:
         state._prev_free = []
         state._load_ids = []
         state._load_starts = []
+        state._load_finishes = []
         state._floor = release_time
         state._realized = release_time
         state._undo = []
@@ -534,6 +539,7 @@ class ReplayState:
         child._prev_free = self._prev_free[:]
         child._load_ids = self._load_ids[:]
         child._load_starts = self._load_starts[:]
+        child._load_finishes = self._load_finishes[:]
         child._floor = self._floor
         child._realized = self._realized
         child._undo = []  # undo frames are not inherited: pops stay local
@@ -595,18 +601,13 @@ class ReplayState:
     @property
     def executions(self) -> Dict[str, ExecutionEntry]:
         """Executed entries so far, in execution order (built on demand)."""
-        return self._materialize_executions()
+        return self._view().executions
 
     @property
     def load_sequence(self) -> Tuple[str, ...]:
         """Names of the loads issued so far, in issue order."""
         names = self._core.names
         return tuple(names[lid] for lid in self._load_ids)
-
-    @property
-    def load_sequence_ids(self) -> Tuple[int, ...]:
-        """Interned ids of the loads issued so far, in issue order."""
-        return tuple(self._load_ids)
 
     # ------------------------------------------------------------------ #
     # Dispatch mechanics (mirrors the monolithic replay loop exactly)
@@ -635,78 +636,27 @@ class ReplayState:
                     ready = finish
         return ready
 
-    def _execute(self, sid: int, rid: int) -> None:
-        ready = self._predecessor_ready_time(sid, rid)
-        free = self._resource_free[rid]
-        release = self.release
-        start = release
-        if ready > start:
-            start = ready
-        if free > start:
-            start = free
-        if self._loaded[sid]:
-            load_done = self._load_finish[sid]
-            if load_done > start:
-                start = load_done
-            # Binding constraint: first candidate (in RELEASE, PREDECESSOR,
-            # RESOURCE, LOAD order) within epsilon of the start...
-            eps_floor = start - TIME_EPSILON
-            if release >= eps_floor:
-                code = 0
-            elif ready >= eps_floor:
-                code = 1
-            elif free >= eps_floor:
-                code = 2
-            else:
-                code = 3
-            # ...but report LOAD only when it is strictly the binding
-            # reason (beyond every non-load candidate by more than eps).
-            if code != 3:
-                non_load = release
-                if ready > non_load:
-                    non_load = ready
-                if free > non_load:
-                    non_load = free
-                if load_done > non_load + TIME_EPSILON:
-                    code = 3
-        else:
-            eps_floor = start - TIME_EPSILON
-            if release >= eps_floor:
-                code = 0
-            elif ready >= eps_floor:
-                code = 1
-            else:
-                code = 2
-        finish = start + self._exec_time[sid]
-        self._starts[sid] = start
-        self._finishes[sid] = finish
-        self._constraint[sid] = code
-        self._done[sid] = 1
-        self._exec_order.append(sid)
-        self._prev_free.append(free)
-        self._resource_free[rid] = finish
-        self._next_index[rid] += 1
-        pred_left = self._pred_left
-        for succ in self._core.succs[sid]:
-            pred_left[succ] -= 1
-        if finish > self._realized:
-            self._realized = finish
-        if self._tails is not None:
-            floor = finish + self._tails[sid]
-            if floor > self._floor:
-                self._floor = floor
-
     def _advance(self) -> None:
-        """Execute everything executable (same batch order as the monolith)."""
+        """Execute everything executable, in the monolith's batch order.
+
+        A batch is every resource whose next subtask may run, in resource
+        order.  Each execution is inline: the one implementation of the
+        start-time and binding-constraint rule.
+        """
         core = self._core
-        sequences = core.sequences
-        seq_len = core.seq_len
-        next_index = self._next_index
-        pred_left = self._pred_left
+        sequences, seq_len = core.sequences, core.seq_len
+        preds, succs = core.preds, core.succs
+        next_index, pred_left = self._next_index, self._pred_left
+        resource_free, exec_time = self._resource_free, self._exec_time
+        starts, finishes = self._starts, self._finishes
+        constraint, done = self._constraint, self._done
+        loaded, load_finish = self._loaded, self._load_finish
+        exec_order, prev_free = self._exec_order, self._prev_free
+        tails, communication = self._tails, self.communication
+        release, realized, floor = self.release, self._realized, self._floor
         resource_range = range(len(sequences))
-        execute = self._execute
+        pending = self.pending_mask
         while True:
-            pending = self.pending_mask
             batch = None
             for rid in resource_range:
                 index = next_index[rid]
@@ -721,8 +671,75 @@ class ReplayState:
                     batch.append((head, rid))
             if batch is None:
                 break
-            for head, rid in batch:
-                execute(head, rid)
+            for sid, rid in batch:
+                if communication is None:
+                    ready = release
+                    for pid in preds[sid]:
+                        finish = finishes[pid]
+                        if finish > ready:
+                            ready = finish
+                else:
+                    ready = self._predecessor_ready_time(sid, rid)
+                free = resource_free[rid]
+                start = release
+                if ready > start:
+                    start = ready
+                if free > start:
+                    start = free
+                if loaded[sid]:
+                    load_done = load_finish[sid]
+                    if load_done > start:
+                        start = load_done
+                    # Binding constraint: first candidate (in RELEASE,
+                    # PREDECESSOR, RESOURCE, LOAD order) within epsilon of
+                    # the start...
+                    eps_floor = start - TIME_EPSILON
+                    if release >= eps_floor:
+                        code = 0
+                    elif ready >= eps_floor:
+                        code = 1
+                    elif free >= eps_floor:
+                        code = 2
+                    else:
+                        code = 3
+                    # ...but report LOAD only when it is strictly the
+                    # binding reason (beyond every non-load candidate by
+                    # more than eps).
+                    if code != 3:
+                        non_load = release
+                        if ready > non_load:
+                            non_load = ready
+                        if free > non_load:
+                            non_load = free
+                        if load_done > non_load + TIME_EPSILON:
+                            code = 3
+                else:
+                    eps_floor = start - TIME_EPSILON
+                    if release >= eps_floor:
+                        code = 0
+                    elif ready >= eps_floor:
+                        code = 1
+                    else:
+                        code = 2
+                finish = start + exec_time[sid]
+                starts[sid] = start
+                finishes[sid] = finish
+                constraint[sid] = code
+                done[sid] = 1
+                exec_order.append(sid)
+                prev_free.append(free)
+                resource_free[rid] = finish
+                next_index[rid] += 1
+                for succ in succs[sid]:
+                    pred_left[succ] -= 1
+                if finish > realized:
+                    realized = finish
+                if tails is not None:
+                    finish += tails[sid]
+                    if finish > floor:
+                        floor = finish
+        self._realized = realized
+        self._floor = floor
 
     # ------------------------------------------------------------------ #
     # Load issue
@@ -803,6 +820,7 @@ class ReplayState:
             finish = start + spans[-1]
         self._load_ids.append(sid)
         self._load_starts.append(start)
+        self._load_finishes.append(finish)
         self._loaded[sid] = 1
         self._load_finish[sid] = finish
         self.controller_time = finish
@@ -964,6 +982,7 @@ class ReplayState:
             )
         self._load_ids.pop()
         self._load_starts.pop()
+        self._load_finishes.pop()
         self._loaded[sid] = 0
         self.pending_mask |= 1 << sid
         self.controller_time = controller
@@ -1047,71 +1066,25 @@ class ReplayState:
     # ------------------------------------------------------------------ #
     # Materialization & search support
     # ------------------------------------------------------------------ #
-    def times(self) -> Tuple[Dict[str, float], Dict[str, float],
-                             Dict[str, float]]:
-        """Execution starts, execution finishes and load finishes by name.
-
-        Read straight off the columns, for callers that need only the
-        times (realization) and not the entries :meth:`finish` builds.
-        """
-        names = self._core.names
-        starts = self._starts
-        finishes = self._finishes
-        load_finish = self._load_finish
-        order = self._exec_order
-        return ({names[sid]: starts[sid] for sid in order},
-                {names[sid]: finishes[sid] for sid in order},
-                {names[lid]: load_finish[lid] for lid in self._load_ids})
-
-    def _materialize_executions(self) -> Dict[str, ExecutionEntry]:
-        core = self._core
-        names = core.names
-        resources = core.resources
-        resource_of = core.resource_of
-        ideal_start = core.ideal_start
-        starts = self._starts
-        finishes = self._finishes
-        constraint = self._constraint
-        release = self.release
-        entries: Dict[str, ExecutionEntry] = {}
-        for sid in self._exec_order:
-            name = names[sid]
-            entries[name] = ExecutionEntry(
-                subtask=name,
-                resource=resources[resource_of[sid]],
-                start=starts[sid],
-                finish=finishes[sid],
-                constraint=_CONSTRAINTS[constraint[sid]],
-                ideal_start=release + ideal_start[sid],
-            )
-        return entries
+    def _view(self) -> TimedSchedule:
+        """A view over a copy of the columns so far (pushes and pops
+        never reach it)."""
+        load_starts = self._load_starts
+        return TimedSchedule.from_columns(
+            self._placed, self.release,
+            load_starts[0] if load_starts else self.controller_time,
+            self._realized,
+            ReplayColumns(self._exec_order[:], self._starts[:],
+                          self._finishes[:], self._constraint[:],
+                          self._load_ids[:], load_starts[:],
+                          self._load_finishes[:]))
 
     def finish(self) -> TimedSchedule:
-        """Materialize the completed replay as a :class:`TimedSchedule`."""
+        """The completed replay as a :class:`TimedSchedule` view over a
+        copy of its columns (entries are built on first read)."""
         if not self.is_complete:
             raise self._stall_error()
-        core = self._core
-        names = core.names
-        resources = core.resources
-        load_finish = self._load_finish
-        loads = tuple(
-            LoadEntry(
-                subtask=names[lid],
-                configuration=core.configuration[lid],
-                resource=resources[core.resource_of[lid]],
-                start=start,
-                finish=load_finish[lid],
-            )
-            for lid, start in zip(self._load_ids, self._load_starts)
-        )
-        return TimedSchedule(
-            placed=self._placed,
-            executions=self._materialize_executions(),
-            loads=loads,
-            release_time=self.release,
-            controller_start=(loads[0].start if loads
-                              else self.controller_time),
-        )
+        return self._view()
 
     def signature(self) -> Tuple:
         """Canonical description of everything that shapes the future.

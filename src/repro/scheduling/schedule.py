@@ -18,9 +18,9 @@ Two kinds of schedules appear throughout the library:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..errors import SchedulingError, UnknownSubtaskError
 from ..graphs.subtask import ResourceClass
@@ -308,22 +308,144 @@ class ExecutionEntry:
         return self.constraint is StartConstraint.LOAD
 
 
-@dataclass(frozen=True)
-class TimedSchedule:
-    """Replay of a placed schedule with reconfiguration loads included."""
+#: Decode table of the constraint code the replay kernel stores per
+#: execution.  Order matters: it is the candidate priority order of the
+#: dispatcher's tie-break (:meth:`.replay.ReplayState._advance`).
+CONSTRAINTS = (StartConstraint.RELEASE, StartConstraint.PREDECESSOR,
+               StartConstraint.RESOURCE, StartConstraint.LOAD)
 
-    placed: PlacedSchedule
-    executions: Dict[str, ExecutionEntry]
-    loads: Tuple[LoadEntry, ...]
-    release_time: float
-    controller_start: float
+
+class ReplayColumns(NamedTuple):
+    """A replay's result as columns; ids index ``placed.core.names``.
+
+    ``starts``, ``finishes`` and ``codes`` (into :data:`CONSTRAINTS`) are
+    indexed by subtask id, valid for the ids in ``order`` (the executed
+    ids, in execution order); the load columns run in issue order.
+    """
+
+    order: List[int]
+    starts: List[float]
+    finishes: List[float]
+    codes: bytearray
+    load_ids: List[int]
+    load_starts: List[float]
+    load_finishes: List[float]
+
+
+class TimedSchedule:
+    """Replay of a placed schedule with reconfiguration loads included.
+
+    A view over the replay kernel's :class:`ReplayColumns` (see
+    :meth:`~repro.scheduling.replay.ReplayState.finish`): the per-task
+    path reads :attr:`columns` by subtask id, and the :attr:`executions`
+    and :attr:`loads` entries are built on first read.  Built from entries
+    (the constructor; a pickle carries the entries), it derives the
+    columns on first read instead.  Equality compares the placed schedule,
+    entries, release time and controller start; it is unhashable.
+    """
+
+    __slots__ = ("placed", "release_time", "controller_start", "makespan",
+                 "_columns", "_executions", "_loads")
+    __hash__ = None
+
+    def __init__(self, placed: PlacedSchedule,
+                 executions: Dict[str, ExecutionEntry],
+                 loads: Tuple[LoadEntry, ...], release_time: float,
+                 controller_start: float) -> None:
+        self.placed = placed
+        self.release_time = release_time
+        self.controller_start = controller_start
+        # Finish of the last execution, or the release when none executed.
+        self.makespan = max((entry.finish for entry in executions.values()),
+                            default=release_time)
+        self._columns: Optional[ReplayColumns] = None
+        self._executions = executions
+        self._loads = loads
+
+    @classmethod
+    def from_columns(cls, placed: PlacedSchedule, release_time: float,
+                     controller_start: float, makespan: float,
+                     columns: ReplayColumns) -> "TimedSchedule":
+        """The view over a replay's ``columns`` (they must not change)."""
+        timed = object.__new__(cls)
+        timed.placed = placed
+        timed.release_time = release_time
+        timed.controller_start = controller_start
+        timed.makespan = makespan
+        timed._columns = columns
+        timed._executions = timed._loads = None
+        return timed
 
     @property
-    def makespan(self) -> float:
-        """Finish time of the last execution (absolute simulation time)."""
-        if not self.executions:
-            return self.release_time
-        return max(entry.finish for entry in self.executions.values())
+    def columns(self) -> ReplayColumns:
+        """The replay's columns, indexed by subtask id."""
+        if self._columns is None:
+            core = self.placed.core
+            index, loads = core.index, self._loads
+            order = [index[name] for name in self._executions]
+            starts, finishes = [0.0] * core.total, [0.0] * core.total
+            codes = bytearray(core.total)
+            for sid, entry in zip(order, self._executions.values()):
+                starts[sid], finishes[sid] = entry.start, entry.finish
+                codes[sid] = CONSTRAINTS.index(entry.constraint)
+            self._columns = ReplayColumns(
+                order, starts, finishes, codes,
+                [index[load.subtask] for load in loads],
+                [load.start for load in loads],
+                [load.finish for load in loads])
+        return self._columns
+
+    @property
+    def executions(self) -> Dict[str, ExecutionEntry]:
+        """Every execution entry, by subtask name, in execution order."""
+        if self._executions is None:
+            core = self.placed.core
+            names, resources = core.names, core.resources
+            resource_of, ideal_start = core.resource_of, core.ideal_start
+            order, starts, finishes, codes = self._columns[:4]
+            release = self.release_time
+            self._executions = {names[sid]: ExecutionEntry(
+                subtask=names[sid],
+                resource=resources[resource_of[sid]],
+                start=starts[sid],
+                finish=finishes[sid],
+                constraint=CONSTRAINTS[codes[sid]],
+                ideal_start=release + ideal_start[sid],
+            ) for sid in order}
+        return self._executions
+
+    @property
+    def loads(self) -> Tuple[LoadEntry, ...]:
+        """Every configuration load, in issue order."""
+        if self._loads is None:
+            core = self.placed.core
+            columns = self._columns
+            self._loads = tuple(LoadEntry(
+                subtask=core.names[lid],
+                configuration=core.configuration[lid],
+                resource=core.resources[core.resource_of[lid]],
+                start=start,
+                finish=finish,
+            ) for lid, start, finish in zip(
+                columns.load_ids, columns.load_starts, columns.load_finishes))
+        return self._loads
+
+    def _fields(self) -> tuple:
+        return (self.placed, self.executions, self.loads, self.release_time,
+                self.controller_start)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __reduce__(self):
+        return (self.__class__, self._fields())
+
+    def __repr__(self) -> str:
+        return ("TimedSchedule(placed={!r}, executions={!r}, loads={!r}, "
+                "release_time={!r}, controller_start={!r})").format(
+                    *self._fields())
 
     @property
     def ideal_makespan(self) -> float:
@@ -355,12 +477,7 @@ class TimedSchedule:
     @property
     def load_count(self) -> int:
         """Number of configuration loads performed."""
-        return len(self.loads)
-
-    @property
-    def total_delay(self) -> float:
-        """Sum of all per-subtask start delays (diagnostic metric)."""
-        return sum(entry.delay for entry in self.executions.values())
+        return len(self.columns.load_ids)
 
     def delayed_subtasks(self, epsilon: float = TIME_EPSILON) -> List[str]:
         """Subtasks that started later than in the ideal schedule."""
@@ -409,12 +526,6 @@ class TimedSchedule:
             return self.span
         last_load_finish = max(load.finish for load in self.loads)
         return max(0.0, self.makespan - last_load_finish)
-
-    def execution_order(self) -> List[str]:
-        """Subtask names sorted by actual start time (ties by name)."""
-        return [name for name, _ in sorted(
-            self.executions.items(), key=lambda item: (item[1].start, item[0])
-        )]
 
     def gantt_rows(self) -> List[Tuple[str, str, float, float]]:
         """Rows for a textual Gantt chart: (lane, label, start, finish)."""

@@ -57,8 +57,8 @@ from __future__ import annotations
 import abc
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from ..core.hybrid import HybridPrefetchHeuristic
 from ..core.intertask import (
@@ -76,7 +76,7 @@ from ..scheduling.noprefetch import OnDemandScheduler
 from ..scheduling.pool import SchedulerPool
 from ..scheduling.prefetch_bb import OptimalPrefetchScheduler
 from ..scheduling.prefetch_list import ListPrefetchScheduler
-from ..scheduling.schedule import ExecutionEntry, LoadEntry, PlacedSchedule
+from ..scheduling.schedule import LoadEntry, PlacedSchedule, TimedSchedule
 from ..tcm.design_time import TcmDesignTimeResult
 from ..tcm.run_time import ScheduledTask
 from .metrics import TaskExecutionRecord
@@ -111,22 +111,26 @@ class TaskSchedule:
 
     ``decision`` binds the logical tiles, and its ``reused`` set is what
     the record counts as reused; ``reused`` holds the subtasks that skip
-    their load when the task is applied to the platform state; ``loads``
-    holds every load in port order, the hybrid's initialization loads
-    first; ``on_demand`` marks loads that wait until their subtask is
+    their load when the task is applied to the platform state; ``timed``
+    is the task's replay, read by subtask id; ``initialization`` holds
+    the hybrid's initialization loads, issued before the loads of
+    ``timed``; ``on_demand`` marks loads that wait until their subtask is
     otherwise ready (the no-prefetch baseline).
     """
 
     placed: PlacedSchedule
     decision: ReuseDecision
     reused: FrozenSet[str]
-    executions: Mapping[str, ExecutionEntry]
-    makespan: float
-    loads: Tuple[LoadEntry, ...]
+    timed: TimedSchedule
+    initialization: Tuple[LoadEntry, ...] = ()
     scheduler_operations: int = 0
     loads_cancelled: int = 0
-    initialization_loads: int = 0
     on_demand: bool = False
+
+    @property
+    def makespan(self) -> float:
+        """Absolute completion time of the task."""
+        return self.timed.makespan
 
     def tile_availability(self, ctx: TaskContext) -> Dict[int, float]:
         """When every physical tile may take an inter-task load.
@@ -134,13 +138,13 @@ class TaskSchedule:
         A tile the task uses is free once its last subtask finishes; any
         other tile once it is idle, but not before the task's release.
         """
+        finishes = self.timed.columns.finishes
+        tile_last = self.placed.core.tile_last
         releases: Dict[int, float] = {}
-        tile_runs = self.placed.core.tile_runs
         for logical, physical in self.decision.tile_binding.items():
-            run = tile_runs.get(logical)
-            if run is not None:
-                releases[physical] = max(self.executions[name].finish
-                                         for name, _ in run)
+            last = tile_last.get(logical)
+            if last is not None:
+                releases[physical] = finishes[last]
         return {tile.index: releases.get(
                     tile.index, max(ctx.release_time, tile.busy_until))
                 for tile in ctx.state.tiles}
@@ -204,15 +208,19 @@ class SchedulingApproach(abc.ABC):
         """Execute one task instance and update the shared platform state."""
         schedule = self.schedule_task(ctx)
         placed = schedule.placed
-        loads = schedule.loads
+        timed = schedule.timed
+        columns = timed.columns
         decision = schedule.decision
-        ctx.state.apply_task_execution(
-            placed, decision.tile_binding, schedule.reused,
-            schedule.executions,
-            {load.subtask: load.finish for load in loads},
-        )
+        names = placed.core.names
+        # Every load's completion by name, in port order.
+        load_finish = {entry.subtask: entry.finish
+                       for entry in schedule.initialization}
+        for lid, finish in zip(columns.load_ids, columns.load_finishes):
+            load_finish[names[lid]] = finish
+        ctx.state.apply_task_execution(placed, decision.tile_binding,
+                                       schedule.reused, timed, load_finish)
         controller_free = max(ctx.state.controller_free,
-                              max((load.finish for load in loads),
+                              max(load_finish.values(),
                                   default=ctx.release_time))
         intertask = (self.prefetch_next(ctx, schedule, controller_free)
                      if ctx.next_scheduled is not None else None)
@@ -226,19 +234,19 @@ class SchedulingApproach(abc.ABC):
             scenario_name=ctx.scheduled.scenario_name,
             point_key=ctx.scheduled.point_key,
             release_time=ctx.release_time,
-            finish_time=schedule.makespan,
+            finish_time=timed.makespan,
             ideal_makespan=placed.makespan,
-            overhead=max(0.0, schedule.makespan - ctx.release_time
+            overhead=max(0.0, timed.makespan - ctx.release_time
                          - placed.makespan),
-            loads_performed=len(loads),
+            loads_performed=len(load_finish),
             loads_reused=len(decision.reused),
             loads_cancelled=schedule.loads_cancelled,
-            initialization_loads=schedule.initialization_loads,
+            initialization_loads=len(schedule.initialization),
             intertask_prefetches=len(intertask_loads),
             scheduler_operations=schedule.scheduler_operations,
             reuse_operations=decision.operations,
             energy=ctx.state.platform.energy.task_energy(
-                loads=len(loads),
+                loads=len(load_finish),
                 busy_time=placed.core.total_execution_time,
             ),
         )
@@ -246,13 +254,12 @@ class SchedulingApproach(abc.ABC):
             placed=placed,
             tile_binding=dict(decision.tile_binding),
             reused=schedule.reused,
-            executions=dict(schedule.executions),
-            loads=loads,
+            timed=timed,
+            initialization=schedule.initialization,
             intertask_loads=intertask_loads,
             on_demand=schedule.on_demand,
-            initialization_loads=schedule.initialization_loads,
         )
-        return TaskOutcome(record=record, finish_time=schedule.makespan,
+        return TaskOutcome(record=record, finish_time=timed.makespan,
                            controller_free=controller_free, plan=plan)
 
     def observe(self, record: TaskExecutionRecord) -> None:
@@ -269,7 +276,8 @@ class SchedulingApproach(abc.ABC):
     # ------------------------------------------------------------------ #
     @staticmethod
     def _schedule_with(scheduler: PrefetchScheduler, ctx: TaskContext,
-                       decision: ReuseDecision) -> TaskSchedule:
+                       decision: ReuseDecision,
+                       on_demand: bool = False) -> TaskSchedule:
         """Let ``scheduler`` place the loads ``decision`` does not reuse."""
         result = scheduler.schedule(PrefetchProblem(
             placed=ctx.placed,
@@ -282,10 +290,9 @@ class SchedulingApproach(abc.ABC):
             placed=ctx.placed,
             decision=decision,
             reused=decision.reused,
-            executions=result.timed.executions,
-            makespan=result.timed.makespan,
-            loads=result.timed.loads,
+            timed=result.timed,
             scheduler_operations=result.stats.operations,
+            on_demand=on_demand,
         )
 
     def _plan_intertask(self, ctx: TaskContext, schedule: TaskSchedule,
@@ -371,8 +378,8 @@ class NoPrefetchApproach(SchedulingApproach):
     def schedule_task(self, ctx: TaskContext) -> TaskSchedule:
         decision = ctx.reuse_module.analyze(ctx.placed, ctx.state.tiles,
                                             now=ctx.release_time)
-        return replace(self._schedule_with(self._scheduler, ctx, decision),
-                       on_demand=True)
+        return self._schedule_with(self._scheduler, ctx, decision,
+                                   on_demand=True)
 
 
 class DesignTimePrefetchApproach(SchedulingApproach):
@@ -461,9 +468,7 @@ class DesignTimePrefetchApproach(SchedulingApproach):
             # configurations: the reuse analysis only binds the tiles.
             decision=replace(decision, reused=frozenset()),
             reused=prefetched,
-            executions=timed.executions,
-            makespan=timed.makespan,
-            loads=timed.loads,
+            timed=timed,
         )
 
     def prefetch_next(self, ctx: TaskContext, schedule: TaskSchedule,
@@ -689,12 +694,10 @@ class HybridApproach(SchedulingApproach):
             placed=entry.placed,
             decision=decision,
             reused=decision.reused,
-            executions=execution.timed.executions,
-            makespan=execution.makespan,
-            loads=execution.initialization_loads + execution.timed.loads,
+            timed=execution.timed,
+            initialization=execution.initialization_loads,
             scheduler_operations=execution.runtime_operations,
             loads_cancelled=execution.decision.cancelled_count,
-            initialization_loads=execution.decision.initialization_count,
         )
 
     def prefetch_next(self, ctx: TaskContext, schedule: TaskSchedule,

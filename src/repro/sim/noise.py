@@ -93,10 +93,10 @@ from ..core.intertask import PlannedPrefetch
 from ..errors import ConfigurationError, SchedulingError
 from ..scheduling.replay import ReplayState
 from ..scheduling.schedule import (
-    ExecutionEntry,
     LoadEntry,
     PlacedSchedule,
     ResourceId,
+    TimedSchedule,
 )
 
 
@@ -253,21 +253,26 @@ class TaskPlan:
     Every approach attaches one of these to its
     :class:`~repro.sim.approaches.TaskOutcome`; :func:`realize_task`
     re-times exactly this plan under noise (planning is untouched — the
-    whole point is that plans are made from estimates).  ``loads`` is the
-    committed port order.  Its leading ``initialization_loads`` entries are
-    the hybrid's initialization phase, loaded back to back before the
-    design schedule is released; ``on_demand`` marks the no-prefetch
-    baseline, whose loads wait until their subtask is otherwise ready.
+    whole point is that plans are made from estimates).  ``timed`` is the
+    planned replay, read by subtask id; its loads are the committed port
+    order.  ``initialization`` holds the hybrid's initialization loads,
+    loaded back to back before the design schedule is released;
+    ``on_demand`` marks the no-prefetch baseline, whose loads wait until
+    their subtask is otherwise ready.
     """
 
     placed: PlacedSchedule
     tile_binding: Mapping[ResourceId, int]
     reused: frozenset
-    executions: Mapping[str, ExecutionEntry]
-    loads: Tuple[LoadEntry, ...]
+    timed: TimedSchedule
+    initialization: Tuple[LoadEntry, ...] = ()
     intertask_loads: Tuple[PlannedPrefetch, ...] = ()
     on_demand: bool = False
-    initialization_loads: int = 0
+
+    @property
+    def loads(self) -> Tuple[LoadEntry, ...]:
+        """Every in-task load in port order, the initialization first."""
+        return self.initialization + self.timed.loads
 
 
 @dataclass(frozen=True)
@@ -285,13 +290,17 @@ class RealizedLoad:
 
 @dataclass(frozen=True)
 class RealizedTask:
-    """Realized timing of one task plan under a :class:`NoiseModel`."""
+    """Realized timing of one task plan under a :class:`NoiseModel`.
+
+    ``timed`` is the realized replay of the design schedule, read by id;
+    ``load_finishes`` maps every in-task load's subtask id (the
+    initialization's too) to its realized completion.
+    """
 
     makespan: float
     controller_free: float
-    execution_starts: Mapping[str, float]
-    execution_finishes: Mapping[str, float]
-    load_finishes: Mapping[str, float]
+    timed: TimedSchedule
+    load_finishes: Mapping[int, float]
     intertask: Tuple[RealizedLoad, ...]
     abandoned: Tuple[RealizedLoad, ...]
     loads_failed: int
@@ -329,54 +338,59 @@ def realize_task(plan: TaskPlan, model: NoiseModel, latency: float,
     of the committed order on :class:`~repro.scheduling.replay.ReplayState`
     with the drawn durations, so a null model returns the plan.  Draw
     order is deterministic: execution durations are drawn per subtask in
-    name order, latency and fault draws follow the committed port order.
+    name order, into a column indexed by subtask id; latency and fault
+    draws follow the committed port order.
     """
     config = model.config
     core = plan.placed.core
+    planned = plan.timed.columns
     # Without execution noise the kernel keeps the graph's estimates (a
-    # planned entry's finish - start can differ from them in the last bit).
+    # planned finish - start can differ from them in the last bit).
     durations = None
     if config.execution_sigma > 0.0:
-        executions = plan.executions
-        durations = {name: model.realized_duration(
-            executions[name].finish - executions[name].start)
-            for name in core.sorted_names}
+        starts, finishes = planned.starts, planned.finishes
+        durations = [0.0] * core.total
+        for sid in core.sorted_ids:
+            durations[sid] = model.realized_duration(finishes[sid]
+                                                     - starts[sid])
 
     loads_failed = 0
-    load_finish: Dict[str, float] = {}
+    load_finish: Dict[int, float] = {}
     # The initialization phase loads back to back from the port's release;
     # the design schedule is released once it completes.
     port_free = max(release_time, controller_available)
-    initialization = plan.initialization_loads
-    for entry in plan.loads[:initialization]:
+    index = core.index
+    for entry in plan.initialization:
         spans = _attempt_spans(model, latency)
         loads_failed += len(spans) - 1
         for span in spans:
             port_free += span
-        load_finish[entry.subtask] = port_free
-    design = plan.loads[initialization:]
+        load_finish[index[entry.subtask]] = port_free
+    names = core.names
+    design = [names[lid] for lid in planned.load_ids]
     state = ReplayState.start(
-        plan.placed, latency, [entry.subtask for entry in design],
+        plan.placed, latency, design,
         on_demand=plan.on_demand,
-        release_time=port_free if initialization else release_time,
+        release_time=port_free if plan.initialization else release_time,
         controller_available=port_free,
         durations=durations,
     )
-    for entry in design:
+    for name in design:
         spans = _attempt_spans(model, latency)
         loads_failed += len(spans) - 1
-        state.issue(entry.subtask, spans)
+        state.issue(name, spans)
     if not state.is_complete:
         raise SchedulingError(
             f"the planned loads of graph {plan.placed.graph.name!r} leave "
             "subtasks waiting for a load that is never issued"
         )
-    exec_start, exec_finish, design_finish = state.times()
-    load_finish.update(design_finish)
+    timed = state.finish()
+    realized = timed.columns
+    load_finish.update(zip(realized.load_ids, realized.load_finishes))
     # Every failed in-task attempt was retried.
     loads_retried = loads_failed
     port_free = state.controller_time
-    makespan = state.makespan
+    makespan = timed.makespan
 
     # Realized release of every physical tile the task used (inter-task
     # prefetches must wait for the tile's last subtask to finish).
@@ -385,7 +399,7 @@ def realize_task(plan: TaskPlan, model: NoiseModel, latency: float,
     for logical, physical in plan.tile_binding.items():
         last = tile_last.get(logical)
         if last is not None:
-            tile_release[physical] = exec_finish[last]
+            tile_release[physical] = realized.finishes[last]
 
     intertask: List[RealizedLoad] = []
     abandoned: List[RealizedLoad] = []
@@ -444,8 +458,7 @@ def realize_task(plan: TaskPlan, model: NoiseModel, latency: float,
     return RealizedTask(
         makespan=makespan,
         controller_free=max(port_free, controller_available),
-        execution_starts=exec_start,
-        execution_finishes=exec_finish,
+        timed=timed,
         load_finishes=load_finish,
         intertask=tuple(intertask),
         abandoned=tuple(abandoned),
@@ -465,18 +478,20 @@ def apply_realization(state, plan: TaskPlan, realized: RealizedTask) -> None:
     completion times, abandoned ones invalidate their tile (the aborted
     write leaves no usable configuration behind).
     """
-    tile_last = plan.placed.core.tile_last
+    core = plan.placed.core
+    tile_last, names = core.tile_last, core.names
+    columns = realized.timed.columns
+    starts, finishes = columns.starts, columns.finishes
     for logical, physical in plan.tile_binding.items():
         last = tile_last.get(logical)
         if last is None:
             continue
         tile = state.tiles[physical]
-        tile.busy_until = realized.execution_finishes[last]
-        tile.last_used_at = realized.execution_starts[last]
-        if last not in plan.reused:
-            tile.loaded_at = realized.load_finishes.get(
-                last, realized.execution_starts[last]
-            )
+        start = starts[last]
+        tile.busy_until = finishes[last]
+        tile.last_used_at = start
+        if names[last] not in plan.reused:
+            tile.loaded_at = realized.load_finishes.get(last, start)
     for load in realized.intertask:
         tile = state.tiles[load.tile]
         tile.loaded_at = load.finish

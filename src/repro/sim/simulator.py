@@ -287,16 +287,27 @@ class SystemSimulator:
                     ctx.release_time, controller_before,
                 )
                 apply_realization(state, outcome.plan, realized)
-                span = realized.makespan - ctx.release_time
-                record = replace(
-                    record,
-                    finish_time=realized.makespan,
+                finish = realized.makespan
+                span = finish - ctx.release_time
+                # Built directly: dataclasses.replace walks every field.
+                record = TaskExecutionRecord(
+                    task_name=record.task_name,
+                    scenario_name=record.scenario_name,
+                    point_key=record.point_key,
+                    release_time=record.release_time, finish_time=finish,
+                    ideal_makespan=record.ideal_makespan,
                     overhead=max(0.0, span - record.ideal_makespan),
+                    loads_performed=record.loads_performed,
+                    loads_reused=record.loads_reused,
+                    loads_cancelled=record.loads_cancelled,
+                    initialization_loads=record.initialization_loads,
+                    intertask_prefetches=record.intertask_prefetches,
+                    scheduler_operations=record.scheduler_operations,
+                    reuse_operations=record.reuse_operations,
+                    energy=record.energy,
                     loads_failed=realized.loads_failed,
                     loads_retried=realized.loads_retried,
-                    prefetches_abandoned=len(realized.abandoned),
-                )
-                finish = realized.makespan
+                    prefetches_abandoned=len(realized.abandoned))
             if self._faulted:
                 # Attribute loads that re-fetch a configuration lost to
                 # fault injection; each faulted configuration is charged

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Mapping, Optional
 from ..errors import PlatformError
 from ..platform.description import Platform
 from ..platform.tile import TileState
-from ..scheduling.schedule import ExecutionEntry, PlacedSchedule, ResourceId
+from ..scheduling.schedule import PlacedSchedule, ResourceId, TimedSchedule
 
 
 @dataclass
@@ -63,7 +63,7 @@ class SystemState:
     def apply_task_execution(self, placed: PlacedSchedule,
                              tile_binding: Mapping[ResourceId, int],
                              reused: Iterable[str],
-                             executions: Mapping[str, ExecutionEntry],
+                             timed: TimedSchedule,
                              load_finish_times: Mapping[str, float]) -> None:
         """Update tile contents after one task execution.
 
@@ -80,22 +80,25 @@ class SystemState:
             Mapping from logical tiles to physical tile indices.
         reused:
             Subtasks that reused a resident configuration.
-        executions:
-            Actual execution entries (absolute times) of every subtask.
+        timed:
+            The task's timed schedule; its execution starts and finishes
+            (absolute times) are read by subtask id.
         load_finish_times:
-            Completion time of every load actually performed (missing
-            entries fall back to the subtask's execution start).
+            Completion time of every load actually performed, by name
+            (missing entries fall back to the subtask's execution start).
         """
         reused_set = set(reused)
         tile_runs = placed.core.tile_runs
+        columns = timed.columns
+        starts, finishes = columns.starts, columns.finishes
         for logical, physical in tile_binding.items():
             run = tile_runs.get(logical)
             if run is None:  # not a tile this schedule uses
                 continue
             tile = self.tiles[physical]
-            for name, configuration in run:
-                entry = executions[name]
+            for sid, name, configuration in run:
+                start = starts[sid]
                 if not (name in reused_set and tile.holds(configuration)):
-                    completion = load_finish_times.get(name, entry.start)
-                    tile.load(configuration, completion)
-                tile.record_execution(entry.start, entry.finish)
+                    tile.load(configuration,
+                              load_finish_times.get(name, start))
+                tile.record_execution(start, finishes[sid])

@@ -56,6 +56,7 @@ endpoint like any built-in family.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -151,6 +152,14 @@ def parse_trace_line(line: str, lineno: int = 1) -> TraceRecord:
     timestamp = raw["timestamp"]
     if isinstance(timestamp, bool) or not isinstance(timestamp, (int, float)):
         raise _fail(lineno, f"timestamp must be a number, got {timestamp!r}")
+    # NaN compares false both ways (parse_trace's ordering check misses
+    # it); inf, 1e999 and ints past the float range are no time either.
+    try:
+        finite = math.isfinite(timestamp)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise _fail(lineno, f"timestamp must be finite, got {timestamp!r}")
     if timestamp < 0:
         raise _fail(lineno, f"timestamp must be non-negative, got {timestamp}")
 

@@ -7,8 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CycleError
-from repro.graphs.analysis import asap_times, subtask_weights
-from repro.graphs.generators import ExecutionTimeModel, layered_dag, random_dag
+from repro.graphs.analysis import (
+    asap_times,
+    max_parallelism,
+    parallelism_profile,
+    subtask_weights,
+)
+from repro.graphs.generators import (
+    ExecutionTimeModel,
+    chain,
+    independent_set,
+    layered_dag,
+    multimedia_like,
+    random_dag,
+    series_parallel,
+)
 from repro.graphs.serialization import graph_from_dict, graph_to_dict
 from repro.graphs.subtask import Subtask
 from repro.graphs.taskgraph import TaskGraph
@@ -312,3 +325,47 @@ def test_graph_with_built_core_pickles(params):
     clone.add_subtask(Subtask("extra", 1.0))
     assert clone.topological_order()[-1] == "extra"
     assert "extra" not in graph
+
+
+def _sampled_profile(graph, resolution):
+    """The per-sample definition of the parallelism profile (reference)."""
+    starts = asap_times(graph)
+    makespan = graph.critical_path_length()
+    if len(graph) == 0 or makespan <= 0:
+        return [0] * resolution
+    return [sum(1 for name, start in starts.items()
+                if start <= makespan * (step + 0.5) / resolution
+                < start + graph.execution_time(name))
+            for step in range(resolution)]
+
+
+graph_families = st.one_of(
+    st.builds(lambda n, p, s: random_dag("pp", count=n, edge_probability=p,
+                                         seed=s),
+              st.integers(1, 30), st.floats(0.0, 0.8), st.integers(0, 10**4)),
+    st.builds(lambda l, w, p, s: layered_dag("pp", layers=l, width=w,
+                                             edge_probability=p, seed=s),
+              st.integers(1, 6), st.integers(1, 5), st.floats(0.0, 1.0),
+              st.integers(0, 10**4)),
+    st.builds(lambda d, f, s: series_parallel("pp", depth=d, fan_out=f,
+                                              seed=s),
+              st.integers(0, 3), st.integers(1, 3), st.integers(0, 10**4)),
+    st.builds(lambda n, s: chain("pp", length=n, seed=s),
+              st.integers(1, 12), st.integers(0, 10**4)),
+    st.builds(lambda n, s: independent_set("pp", count=n, seed=s),
+              st.integers(1, 12), st.integers(0, 10**4)),
+    st.builds(lambda n, s: multimedia_like("pp", subtask_count=n, seed=s),
+              st.integers(1, 30), st.integers(0, 10**4)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph=graph_families,
+       resolution=st.sampled_from([1, 2, 7, 64, 128, 256]))
+def test_parallelism_profile_equals_the_per_sample_formula(graph,
+                                                          resolution):
+    """The one-pass profile counts exactly what the per-sample
+    comparison counts, at every sample of every generator family."""
+    expected = _sampled_profile(graph, resolution)
+    assert parallelism_profile(graph, resolution) == expected
+    assert max_parallelism(graph, resolution) == max(expected)

@@ -10,6 +10,7 @@ monolithic ``replay_schedule`` as a reference implementation.
 
 from __future__ import annotations
 
+import pickle
 import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -494,20 +495,24 @@ class TestForcedIssue:
         planned = replay_schedule(
             placed, latency, placed.drhw_names,
             priority_order=shuffled_order(placed, order_seed), **kwargs)
-        durations = {name: placed.graph.execution_time(name)
-                     for name in placed.graph.subtask_names}
+        durations = [placed.graph.execution_time(name)
+                     for name in placed.graph.subtask_names]
         forced = ReplayState.start(placed, latency, placed.drhw_names,
                                    durations=durations, **kwargs)
         for load in planned.loads:
             forced.issue(load.subtask, [latency])
-        assert_bit_identical(forced.finish(), planned)
-        starts, finishes, load_finishes = forced.times()
-        assert starts == {name: entry.start
-                          for name, entry in planned.executions.items()}
-        assert finishes == {name: entry.finish
-                            for name, entry in planned.executions.items()}
-        assert load_finishes == {load.subtask: load.finish
-                                 for load in planned.loads}
+        timed = forced.finish()
+        assert_bit_identical(timed, planned)
+        columns, names = timed.columns, placed.core.names
+        assert {names[sid]: columns.starts[sid] for sid in columns.order} \
+            == {name: entry.start
+                for name, entry in planned.executions.items()}
+        assert {names[sid]: columns.finishes[sid] for sid in columns.order} \
+            == {name: entry.finish
+                for name, entry in planned.executions.items()}
+        assert {names[lid]: finish for lid, finish
+                in zip(columns.load_ids, columns.load_finishes)} \
+            == {load.subtask: load.finish for load in planned.loads}
 
     def test_spans_hold_the_port_in_draw_order(self, chain4):
         placed = build_initial_schedule(chain4, Platform(tile_count=8))
@@ -521,7 +526,7 @@ class TestForcedIssue:
 
     def test_duration_column_replaces_execution_times(self, chain4):
         placed = build_initial_schedule(chain4, Platform(tile_count=8))
-        durations = {name: 1.0 for name in placed.graph.subtask_names}
+        durations = [1.0] * len(placed.graph.subtask_names)
         state = ReplayState.start(placed, 4.0, [], durations=durations)
         assert state.is_complete
         assert state.makespan == 4.0
@@ -619,3 +624,56 @@ class TestUndoCorrectness:
                  dict(state.executions), state.controller_time)
         assert before == after
         assert state.signature() == reference.signature()
+
+
+# ---------------------------------------------------------------------- #
+# The finished schedule: a view over a copy of the kernel's columns
+# ---------------------------------------------------------------------- #
+class TestFinishedScheduleView:
+    @settings(max_examples=40, deadline=None)
+    @given(params=problem_params, walk_seed=st.integers(0, 10_000))
+    def test_later_pushes_and_pops_leave_it_unchanged(self, params,
+                                                      walk_seed):
+        """A schedule ``finish()`` returned keeps its columns and entries
+        while the same state is unwound and driven down other branches."""
+        placed, latency = build_placed(params)
+        state = ReplayState.start(placed, latency, placed.drhw_names)
+        rng = random.Random(walk_seed)
+        while not state.is_complete:
+            state.push_choice(*rng.choice(state.choices()))
+        sequence = state.load_sequence
+        timed = state.finish()
+        columns = [list(column) for column in timed.columns]
+        makespan, controller_start = timed.makespan, timed.controller_start
+        for _ in range(rng.randint(0, state.undo_depth)):
+            state.pop()
+        while not state.is_complete:
+            state.push_choice(*rng.choice(state.choices()))
+        assert [list(column) for column in timed.columns] == columns
+        assert (timed.makespan, timed.controller_start) \
+            == (makespan, controller_start)
+        fresh = ReplayState.start(placed, latency, placed.drhw_names)
+        for name in sequence:
+            fresh.push(name)
+        assert_bit_identical(timed, fresh.finish())
+        assert timed.makespan == fresh.finish().makespan
+
+    @settings(max_examples=30, deadline=None)
+    @given(params=problem_params, order_seed=st.integers(0, 1000))
+    def test_pickle_round_trip(self, params, order_seed):
+        """A pickle carries the entries; the clone equals the original,
+        columns and makespan included, and stays unhashable."""
+        placed, latency = build_placed(params)
+        timed = replay_schedule(placed, latency, placed.drhw_names,
+                                priority_order=shuffled_order(placed,
+                                                              order_seed))
+        clone_placed, clone = pickle.loads(pickle.dumps((placed, timed)))
+        assert clone.placed is clone_placed
+        assert_bit_identical(clone, timed)
+        assert clone.makespan == timed.makespan
+        assert clone.columns == timed.columns
+        assert clone == TimedSchedule(clone_placed, timed.executions,
+                                      timed.loads, timed.release_time,
+                                      timed.controller_start)
+        with pytest.raises(TypeError):
+            hash(clone)

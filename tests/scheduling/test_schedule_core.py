@@ -125,10 +125,12 @@ def test_core_facts_equal_the_name_level_formulas(case):
         for r in sorted(tiles, key=lambda r: (-weight[order[r][0]], r.index)))
     assert dict(core.drhw_tiles) == {n: placements[n].resource
                                      for n in placed.drhw_names}
-    assert core.tile_runs == {r: tuple((n, configuration[n])
+    index = placed.graph.core.index
+    assert core.tile_runs == {r: tuple((index[n], n, configuration[n])
                                        for n in order[r]) for r in tiles}
-    assert core.tile_last == {r: order[r][-1] for r in tiles}
+    assert core.tile_last == {r: index[order[r][-1]] for r in tiles}
     assert core.sorted_names == tuple(sorted(placements))
+    assert core.sorted_ids == tuple(index[n] for n in sorted(placements))
     assert core.total_execution_time == placed.graph.total_execution_time
     assert core.configurations == tuple(placed.graph.configurations)
 

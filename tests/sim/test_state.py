@@ -55,7 +55,7 @@ class TestApplyTaskExecution:
         timed = replay_schedule(placed, LATENCY, placed.drhw_names)
         load_finish = {load.subtask: load.finish for load in timed.loads}
         state.apply_task_execution(placed, decision.tile_binding, frozenset(),
-                                   timed.executions, load_finish)
+                                   timed, load_finish)
         resident = set(state.resident_configurations)
         # Every subtask was loaded on its own tile, so all stay resident.
         assert resident == set(chain4.subtask_names)
@@ -68,7 +68,7 @@ class TestApplyTaskExecution:
         timed = replay_schedule(placed, LATENCY, placed.drhw_names)
         load_finish = {load.subtask: load.finish for load in timed.loads}
         state.apply_task_execution(placed, decision.tile_binding, frozenset(),
-                                   timed.executions, load_finish)
+                                   timed, load_finish)
         assert set(state.resident_configurations) == {"s3"}
 
     def test_reused_subtask_does_not_reset_load_time(self, diamond, platform8):
@@ -82,7 +82,7 @@ class TestApplyTaskExecution:
         timed = replay_schedule(placed, LATENCY, loads)
         load_finish = {load.subtask: load.finish for load in timed.loads}
         state.apply_task_execution(placed, decision.tile_binding,
-                                   decision.reused, timed.executions,
+                                   decision.reused, timed,
                                    load_finish)
         source_tile = state.tiles[decision.subtask_tiles["src"]]
         assert source_tile.loaded_at == pytest.approx(2.0)

@@ -46,6 +46,9 @@ class TestParser:
         ('{"timestamp": 1, "task": 1, "bogus": 2}', "unknown fields"),
         ('{"timestamp": -1, "task": 1}', "non-negative"),
         ('{"timestamp": true, "task": 1}', "must be a number"),
+        ('{"timestamp": NaN, "task": 1}', "must be finite"),
+        ('{"timestamp": Infinity, "task": 1}', "must be finite"),
+        ('{"timestamp": 1e999, "task": 1}', "must be finite"),
         ('{"timestamp": 1, "task": -2}', "non-negative"),
         ('{"timestamp": 1, "task": "x"}', "non-negative integer"),
         ('{"timestamp": 1, "task": true}', "non-negative integer"),
@@ -73,6 +76,20 @@ class TestParser:
                  '{"timestamp": 1, "task": 2}']
         with pytest.raises(TraceFormatError, match="non-decreasing"):
             parse_trace(lines)
+
+    def test_nan_cannot_hide_a_decreasing_timestamp(self):
+        # NaN compares false both ways: 5 -> NaN -> 1 would pass the
+        # ordering check if the parser let NaN through.
+        lines = ['{"timestamp": 5, "task": 1}',
+                 '{"timestamp": NaN, "task": 2}',
+                 '{"timestamp": 1, "task": 3}']
+        with pytest.raises(TraceFormatError,
+                           match="trace line 2: timestamp must be finite"):
+            parse_trace(lines)
+
+    def test_timestamp_past_the_float_range_is_rejected(self):
+        with pytest.raises(TraceFormatError, match="must be finite"):
+            parse_trace_line('{"timestamp": 1%s, "task": 1}' % ("0" * 400))
 
     def test_unseen_dep_is_rejected(self):
         with pytest.raises(TraceFormatError, match="not seen earlier"):
