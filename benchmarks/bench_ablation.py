@@ -11,9 +11,12 @@ import pytest
 from repro.core.critical import PICK_STRATEGIES
 from repro.experiments.ablation import (
     run_engine_ablation,
-    run_intertask_ablation,
     run_pick_metric_ablation,
-    run_replacement_ablation,
+)
+from repro.experiments.artifacts import (
+    INTERTASK_ABLATION,
+    REPLACEMENT_ABLATION,
+    run_artifact,
 )
 
 
@@ -30,29 +33,33 @@ def test_pick_metric_ablation(benchmark):
 @pytest.mark.benchmark(group="ablation")
 def test_intertask_ablation(benchmark, iterations):
     result = benchmark.pedantic(
-        run_intertask_ablation,
-        kwargs=dict(iterations=min(iterations, 300), seed=2005),
+        run_artifact,
+        args=(INTERTASK_ABLATION,),
+        kwargs=dict(iterations=min(iterations, 300), seeds=(2005,)),
         rounds=1, iterations=1,
     )
     print()
     print(result.format_table())
-    assert result.overhead_with_intertask <= result.overhead_without_intertask
-    assert result.improvement_percent_points > 0.5
+    with_intertask = result.value("hybrid with inter-task prefetch", 8)
+    without_intertask = result.value("hybrid without inter-task prefetch", 8)
+    assert with_intertask <= without_intertask
+    assert without_intertask - with_intertask > 0.5
 
 
 @pytest.mark.benchmark(group="ablation")
 def test_replacement_ablation(benchmark, iterations):
     result = benchmark.pedantic(
-        run_replacement_ablation,
-        kwargs=dict(iterations=min(iterations, 300), seed=2005),
+        run_artifact,
+        args=(REPLACEMENT_ABLATION,),
+        kwargs=dict(iterations=min(iterations, 300), seeds=(2005,)),
         rounds=1, iterations=1,
     )
     print()
     print(result.format_table())
-    assert set(result.overhead_by_policy) == {"lru", "lfu", "fifo",
-                                              "randomlike", "weight-aware"}
-    for value in result.overhead_by_policy.values():
-        assert 0.0 <= value < 25.0
+    assert set(result.approaches) == {"lru", "lfu", "fifo",
+                                      "randomlike", "weight-aware"}
+    for policy in result.approaches:
+        assert 0.0 <= result.value(policy, 8) < 25.0
 
 
 @pytest.mark.benchmark(group="ablation")

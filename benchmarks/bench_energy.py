@@ -10,24 +10,32 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.energy import run_energy_study
+from repro.experiments.artifacts import ENERGY, run_artifact
 
 
 @pytest.mark.benchmark(group="energy")
 def test_energy_study(benchmark, iterations):
     result = benchmark.pedantic(
-        run_energy_study,
-        kwargs=dict(tile_count=12, iterations=min(iterations, 300), seed=2005),
+        run_artifact,
+        args=(ENERGY,),
+        kwargs=dict(tile_count=12, iterations=min(iterations, 300),
+                    seeds=(2005,)),
         rounds=1, iterations=1,
     )
     print()
     print(result.format_table())
-    print(f"hybrid performs {result.load_savings_percent('hybrid'):.0f}% fewer "
+
+    def design_time(metric):
+        return result.value("design-time", 12, metric)
+
+    def hybrid(metric):
+        return result.value("hybrid", 12, metric)
+
+    savings = 100.0 * (1.0 - hybrid("total_loads") / design_time("total_loads"))
+    print(f"hybrid performs {savings:.0f}% fewer "
           "loads than the design-time baseline")
 
-    design_time = result.row("design-time")
-    hybrid = result.row("hybrid")
-    assert hybrid.loads_per_iteration < design_time.loads_per_iteration
-    assert hybrid.energy_per_iteration < design_time.energy_per_iteration
-    assert hybrid.cancelled_per_iteration > 0.0
-    assert design_time.reuse_rate == 0.0
+    assert hybrid("total_loads") < design_time("total_loads")
+    assert hybrid("total_energy") < design_time("total_energy")
+    assert hybrid("total_cancelled") > 0
+    assert design_time("reuse_rate") == 0.0

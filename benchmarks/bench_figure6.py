@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.figure6 import FIGURE6_TILE_COUNTS, run_figure6
+from repro.experiments.artifacts import FIGURE6, run_artifact
+from repro.runner import SweepEngine
 
 
 @pytest.mark.benchmark(group="figure6")
 def test_figure6_regeneration(benchmark, iterations, jobs):
     result = benchmark.pedantic(
-        run_figure6,
-        kwargs=dict(tile_counts=FIGURE6_TILE_COUNTS, iterations=iterations,
-                    seed=2005, jobs=jobs),
+        run_artifact,
+        args=(FIGURE6, SweepEngine(max_workers=jobs)),
+        kwargs=dict(iterations=iterations, seeds=(2005,)),
         rounds=1, iterations=1,
     )
     print()
@@ -30,9 +31,9 @@ def test_figure6_regeneration(benchmark, iterations, jobs):
     print(f"hybrid hides {100 * result.hidden_fraction('hybrid', 8):.1f}% of "
           "the no-prefetch overhead at 8 tiles")
 
-    assert result.baselines["no-prefetch"] == pytest.approx(23.0, abs=6.0)
-    assert result.baselines["design-time"] == pytest.approx(7.0, abs=2.0)
-    for tiles in result.tile_counts:
+    assert result.value("no-prefetch", 8) == pytest.approx(23.0, abs=6.0)
+    assert result.value("design-time", 8) == pytest.approx(7.0, abs=2.0)
+    for tiles in result.xs:
         run_time = result.curve("run-time").value_at(tiles)
         intertask = result.curve("run-time+inter-task").value_at(tiles)
         hybrid = result.curve("hybrid").value_at(tiles)

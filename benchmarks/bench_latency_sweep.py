@@ -9,25 +9,28 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.latency_sweep import DEFAULT_LATENCIES, run_latency_sweep
+from repro.experiments.artifacts import LATENCY_SWEEP, run_artifact
 
 
 @pytest.mark.benchmark(group="latency-sweep")
 def test_latency_sweep(benchmark, iterations):
     result = benchmark.pedantic(
-        run_latency_sweep,
-        kwargs=dict(latencies=DEFAULT_LATENCIES, tile_count=8,
-                    iterations=min(iterations, 150), seed=2005),
+        run_artifact,
+        args=(LATENCY_SWEEP,),
+        kwargs=dict(tile_count=8, iterations=min(iterations, 150),
+                    seeds=(2005,)),
         rounds=1, iterations=1,
     )
     print()
     print(result.format_table())
 
-    ordered = [result.row(latency) for latency in DEFAULT_LATENCIES]
+    low, high = result.xs[0], result.xs[-1]
     # Overhead and criticality both grow with the reconfiguration latency.
-    assert ordered[0].hybrid_percent <= ordered[-1].hybrid_percent + 1e-9
-    assert ordered[0].critical_fraction <= ordered[-1].critical_fraction + 1e-9
+    assert result.value("hybrid", low) <= result.value("hybrid", high) + 1e-9
+    assert result.critical_fraction[low] \
+        <= result.critical_fraction[high] + 1e-9
     # The hybrid heuristic is never worse than the baselines.
-    for row in ordered:
-        assert row.hybrid_percent <= row.no_prefetch_percent + 1e-9
-        assert row.hybrid_percent <= row.run_time_percent + 1e-9
+    for latency in result.xs:
+        hybrid = result.value("hybrid", latency)
+        assert hybrid <= result.value("no-prefetch", latency) + 1e-9
+        assert hybrid <= result.value("run-time", latency) + 1e-9

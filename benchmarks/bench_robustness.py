@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.robustness import (
-    DEFAULT_NOISE_LEVELS,
-    run_robustness,
-)
+from repro.experiments.artifacts import ROBUSTNESS, run_artifact
+from repro.experiments.robustness import DEFAULT_NOISE_LEVELS
+from repro.runner import SweepEngine
 from repro.sim import SimulationConfig, make_approach, simulate
 from repro.workloads.multimedia import MultimediaWorkload
 
@@ -28,10 +27,11 @@ SEEDS = (2005, 2006, 2007, 2008, 2009)
 def test_robustness_curves(benchmark, iterations, jobs):
     run_iterations = min(iterations, 60)
     result = benchmark.pedantic(
-        run_robustness,
+        run_artifact,
+        args=(ROBUSTNESS, SweepEngine(max_workers=jobs)),
         kwargs=dict(workload="multimedia", tile_count=8,
-                    levels=DEFAULT_NOISE_LEVELS, approaches=APPROACHES,
-                    seeds=SEEDS, iterations=run_iterations, jobs=jobs),
+                    xs=DEFAULT_NOISE_LEVELS, approaches=APPROACHES,
+                    seeds=SEEDS, iterations=run_iterations),
         rounds=1, iterations=1,
     )
     print()
@@ -46,18 +46,17 @@ def test_robustness_curves(benchmark, iterations, jobs):
                                     seed=SEEDS[0]),
         )
         cell = result.cell(name, 0.0)
-        assert direct.overhead_percent == pytest.approx(cell.overhead.minimum) \
-            or cell.overhead.minimum <= direct.overhead_percent \
-            <= cell.overhead.maximum
+        assert direct.overhead_percent == pytest.approx(cell.minimum) \
+            or cell.minimum <= direct.overhead_percent <= cell.maximum
 
     top = max(DEFAULT_NOISE_LEVELS)
     for name in APPROACHES:
-        curve = result.curve(name)
+        harsh, clean = result.cell(name, top), result.cell(name, 0.0)
         # Noise never helps: the harshest level costs at least as much as
         # the noise-free run (means, with a little CI slack).
-        assert curve[top].mean + curve[top].ci_half_width \
-            >= curve[0.0].mean - curve[0.0].ci_half_width
+        assert harsh.mean + harsh.ci_half_width \
+            >= clean.mean - clean.ci_half_width
     # The feedback-controlled prefetcher holds up at least as well as the
     # static design-time plan under the harshest noise.
-    assert result.cell("adaptive", top).overhead.mean \
-        <= result.cell("design-time", top).overhead.mean + 1e-9
+    assert result.cell("adaptive", top).mean \
+        <= result.cell("design-time", top).mean + 1e-9

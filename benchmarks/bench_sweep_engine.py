@@ -29,7 +29,7 @@ import time
 
 import pytest
 
-from repro.experiments.figure6 import FIGURE6_TILE_COUNTS
+from repro.experiments.artifacts import FIGURE6
 from repro.runner import ApproachSpec, SweepEngine, SweepSpec
 
 #: Approach grid of the Figure 6 sweep.
@@ -49,7 +49,7 @@ def _figure6_spec(iterations: int) -> SweepSpec:
     return SweepSpec(
         workloads=("multimedia",),
         approaches=tuple(ApproachSpec(name) for name in FIGURE6_APPROACHES),
-        tile_counts=FIGURE6_TILE_COUNTS,
+        tile_counts=FIGURE6.xs,
         seeds=(2005,),
         iterations=iterations,
     )

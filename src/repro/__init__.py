@@ -15,14 +15,16 @@ subpackages contain the full API:
 * :mod:`repro.tcm`        — the TCM-style scheduling environment
 * :mod:`repro.sim`        — the system simulator and scheduling approaches
 * :mod:`repro.workloads`  — the paper's benchmarks and synthetic workloads
-* :mod:`repro.experiments`— drivers regenerating every table and figure
+* :mod:`repro.experiments`— every table and figure: the sweep-backed
+  artifacts are declared once in :mod:`repro.experiments.artifacts` and
+  run by one driver; the per-graph studies keep a module each
 * :mod:`repro.runner`     — the parallel sweep engine: declarative
   workload x approach x tile x seed grids (:class:`repro.runner.SweepSpec`),
   process-pool execution with one shared TCM design-time exploration per
-  (workload, platform), and a content-addressed result cache.  Every
-  experiment driver and the ``--jobs``/``--cache-dir`` CLI flags run
-  through it; parallel, sequential and cache-replayed runs are
-  bit-identical.
+  (workload, platform), and a content-addressed result cache.  The
+  artifact driver, the per-graph studies and the ``--jobs``/``--cache-dir``
+  CLI flags run through it; parallel, sequential and cache-replayed runs
+  are bit-identical.
 """
 
 from .core.critical import CriticalSubtaskResult, select_critical_subtasks

@@ -11,62 +11,47 @@ paper's tables and figures from the terminal::
     repro-drhw ablation --study replacement
     repro-drhw demo --task jpeg_decoder
 
-Every sub-command prints a plain-text table; the underlying data is
-available programmatically through :mod:`repro.experiments`.
+Every sub-command prints a plain-text table.  ``figure6``, ``figure7``,
+``robustness`` and the inter-task and replacement ablations run the
+artifacts declared in :mod:`repro.experiments.artifacts` through its one
+driver, :func:`~repro.experiments.artifacts.run_artifact`; the per-graph
+studies have a module each in :mod:`repro.experiments`.  ``robustness``
+sweeps noise intensity x approaches x seeds into overhead-vs-noise curves
+with 95 % confidence intervals, decomposed into planned and fault-induced
+work (see :mod:`repro.experiments.robustness`).
 
 The simulation sweeps run through :mod:`repro.runner`: ``--jobs N`` fans
-the sweep out over N worker processes (``--jobs 0`` picks one per CPU)
-and ``--cache-dir PATH`` memoizes completed sweep points — and, under
-``PATH/explorations``, the TCM design-time explorations — so a rerun with
-the same parameters returns instantly and even partially-warm sweeps skip
-the Pareto-curve generation.  Both keep results bit-identical to a
-sequential uncached run.
-
-Cached commands also persist the exact scheduler's transposition tables
-under ``PATH/ttables`` (disable with ``--no-tt-cache``): reruns and fresh
-worker fleets warm-start their branch-and-bound searches from the floor
-certificates earlier runs proved, again without changing any result.
+a sweep out over N worker processes (``--jobs 0``: one per CPU), and
+``--cache-dir PATH`` memoizes completed points, the TCM design-time
+explorations (``PATH/explorations``) and, unless ``--no-tt-cache``, the
+exact scheduler's transposition tables (``PATH/ttables``), so warm reruns
+skip simulation, exploration and proven search.  Results stay
+bit-identical to a sequential uncached run either way.
 
 ``repro-drhw sweep`` exposes the sweep engine directly: an arbitrary
 workloads x approaches x tiles x seeds grid, reported as mean ± 95 % CI
 per curve when several seeds are given, optionally perturbed by the
 stochastic run-time layer (``--fault-rate``, ``--latency-sigma``,
 ``--latency-jitter``, ``--execution-sigma``, ``--load-failure-rate``,
-``--max-retries``), and — with ``--distributed`` — a
-cooperative multi-worker mode where any number of processes or machines
-pointed at one shared ``--cache-dir`` partition the grid through claim
-files without duplicating work (see :mod:`repro.runner.engine`).  Held
-claims are heartbeat-refreshed automatically, so ``--claim-ttl`` only
-sets how fast a *crashed* worker is detected and taken over — it does
-not need to cover group runtime.
+``--max-retries``).  With ``--distributed``, any number of processes or
+machines pointed at one shared ``--cache-dir`` partition the grid through
+heartbeat-refreshed claim files (see :mod:`repro.runner.engine`);
+``--claim-ttl`` only sets how fast a *crashed* worker is taken over.
 
-``repro-drhw robustness`` sweeps noise intensity x approaches x seeds and
-reports overhead-vs-noise degradation curves with 95 % confidence
-intervals, decomposed into planned and fault-induced work (see
-:mod:`repro.experiments.robustness`).
-
-``repro-drhw serve`` starts the online scheduling service: a long-lived
+``repro-drhw serve`` starts the online scheduling service, a long-lived
 HTTP daemon answering ``/schedule``, ``/simulate`` and ``/robustness``
-requests from one process-wide warm engine pool, with in-flight request
-deduplication and admission control — see :mod:`repro.service` for the
-protocol, flags and response schemas.
+from one warm engine pool (see :mod:`repro.service`).  ``repro-drhw trace
+generate`` synthesizes a seed-deterministic multi-tenant access log, and
+``repro-drhw trace run`` replays one through the cached sweep engine or,
+with ``--service HOST:PORT``, a live daemon, reporting warm hit rates
+(``--min-warm-rate`` makes the report a CI gate; log format in
+:mod:`repro.workloads.traces`).  ``repro-drhw cache gc`` bounds a shared
+cache directory: ``--max-bytes`` evicts memoized entries least recently
+used first (evicted entries recompute bit-identically), every run sweeps
+expired claims and crashed-writer debris, and ``--dry-run`` previews.
 
-``repro-drhw trace generate`` synthesizes a seed-deterministic
-mixed-pattern access log (sequential runs, short jumps, long random
-jumps over a configuration universe, interleaved across tenants) and
-``repro-drhw trace run`` replays such a log — or a fresh synthetic one —
-through the cached sweep engine or, with ``--service HOST:PORT``, through
-a live daemon, preserving the multi-tenant arrival order and reporting
-per-stream warm-pool / exploration-LRU / transposition-store hit rates
-(``--min-warm-rate`` turns the report into a CI gate); see
-:mod:`repro.workloads.traces` for the log format.
-
-``repro-drhw cache gc`` keeps a long-lived shared cache directory
-bounded: ``--max-bytes`` evicts memoized entries (results, explorations,
-transposition tables) least-recently-used-first down to the budget —
-always safe, evicted entries recompute bit-identically — and every run
-sweeps expired claim files, leaked takeover tombstones and crashed-writer
-temp debris.  ``--dry-run`` previews without deleting.
+The package's own errors (a malformed trace log, a bad option value) end
+in one ``repro-drhw: error:`` line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -76,25 +61,24 @@ import sys
 from typing import List, Optional, Sequence
 
 from .core.hybrid import HybridPrefetchHeuristic
-from .experiments.ablation import (
-    run_engine_ablation,
-    run_intertask_ablation,
-    run_pick_metric_ablation,
-    run_replacement_ablation,
+from .errors import ConfigurationError, ReproError
+from .experiments.ablation import run_engine_ablation, run_pick_metric_ablation
+from .experiments.artifacts import (
+    FIGURE6,
+    FIGURE7,
+    INTERTASK_ABLATION,
+    REPLACEMENT_ABLATION,
+    ROBUSTNESS,
+    run_artifact,
 )
-from .experiments.figure6 import FIGURE6_TILE_COUNTS, run_figure6
-from .experiments.figure7 import FIGURE7_TILE_COUNTS, run_figure7
 from .experiments.hide_rate import run_hide_rate
 from .experiments.robustness import (
     DEFAULT_APPROACHES as DEFAULT_ROBUSTNESS_APPROACHES,
-    DEFAULT_NOISE_LEVELS,
-    DEFAULT_SEEDS as DEFAULT_ROBUSTNESS_SEEDS,
-    run_robustness,
 )
 from .experiments.scalability import run_scalability
 from .experiments.table1 import run_table1
 from .platform.description import Platform
-from .runner import default_jobs
+from .runner import SweepEngine, default_jobs
 from .scheduling.base import PrefetchProblem
 from .scheduling.list_scheduler import build_initial_schedule
 from .scheduling.noprefetch import OnDemandScheduler
@@ -138,23 +122,17 @@ def build_parser() -> argparse.ArgumentParser:
     table1 = subparsers.add_parser("table1", help="Regenerate Table 1")
     add_jobs_flag(table1)
 
-    figure6 = subparsers.add_parser("figure6", help="Regenerate Figure 6")
-    figure6.add_argument("--iterations", type=int, default=300,
-                         help="simulated iterations (paper: 1000)")
-    figure6.add_argument("--seed", type=int, default=2005)
-    figure6.add_argument("--tiles", type=int, nargs="*",
-                         default=list(FIGURE6_TILE_COUNTS))
-    add_jobs_flag(figure6)
-    add_cache_flag(figure6)
-
-    figure7 = subparsers.add_parser("figure7", help="Regenerate Figure 7")
-    figure7.add_argument("--iterations", type=int, default=300,
-                         help="simulated iterations (paper: 1000)")
-    figure7.add_argument("--seed", type=int, default=2005)
-    figure7.add_argument("--tiles", type=int, nargs="*",
-                         default=list(FIGURE7_TILE_COUNTS))
-    add_jobs_flag(figure7)
-    add_cache_flag(figure7)
+    for name, figure in (("figure6", FIGURE6), ("figure7", FIGURE7)):
+        command = subparsers.add_parser(name,
+                                        help=f"Regenerate Figure {name[-1]}")
+        command.add_argument("--iterations", type=int,
+                             default=figure.iterations,
+                             help="simulated iterations (paper: 1000)")
+        command.add_argument("--seed", type=int, default=figure.seeds[0])
+        command.add_argument("--tiles", type=int, nargs="*",
+                             default=list(figure.xs))
+        add_jobs_flag(command)
+        add_cache_flag(command)
 
     scalability = subparsers.add_parser(
         "scalability", help="Run-time scheduling cost vs graph size"
@@ -172,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["pick-metric", "inter-task", "replacement",
                                    "engine", "all"],
                           default="all")
-    ablation.add_argument("--iterations", type=int, default=200)
+    ablation.add_argument("--iterations", type=int,
+                          default=INTERTASK_ABLATION.iterations)
     add_jobs_flag(ablation)
     add_cache_flag(ablation)
 
@@ -246,10 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
                             metavar="NAME",
                             help="workload registry name "
                                  "(default: multimedia)")
-    robustness.add_argument("--tiles", type=int, default=8,
+    robustness.add_argument("--tiles", type=int,
+                            default=ROBUSTNESS.tile_count,
                             help="tile count of the platform (default: 8)")
     robustness.add_argument("--levels", type=float, nargs="+",
-                            default=list(DEFAULT_NOISE_LEVELS),
+                            default=list(ROBUSTNESS.xs),
                             metavar="I",
                             help="noise intensities to sweep; 0 is the "
                                  "noise-free simulator (default: "
@@ -261,10 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
                                  "design-time run-time+inter-task hybrid "
                                  "adaptive)")
     robustness.add_argument("--seeds", type=int, nargs="+",
-                            default=list(DEFAULT_ROBUSTNESS_SEEDS),
+                            default=list(ROBUSTNESS.seeds),
                             help="simulation seeds per cell (default: 5 "
                                  "seeds)")
-    robustness.add_argument("--iterations", type=int, default=60,
+    robustness.add_argument("--iterations", type=int,
+                            default=ROBUSTNESS.iterations,
                             help="simulated iterations per point "
                                  "(default: 60)")
     add_jobs_flag(robustness)
@@ -490,7 +471,6 @@ def _run_cache_gc(args) -> str:
 
 def _run_sweep(args, jobs: int, cache_dir: Optional[str]) -> str:
     """Execute the ``sweep`` sub-command and render its report."""
-    from .errors import ConfigurationError
     from .runner import (DEFAULT_CLAIM_TTL, ApproachSpec, SeedEnsemble,
                          SweepEngine, SweepSpec)
     from .sim.noise import PerturbationConfig
@@ -601,7 +581,6 @@ def _run_trace_run(args, jobs: int, cache_dir: Optional[str]) -> int:
         reconfiguration_latency=args.latency,
     )
     if args.service is not None:
-        from .errors import ConfigurationError
         from .service.client import ServiceClient
 
         host, _, port = args.service.rpartition(":")
@@ -664,30 +643,40 @@ def _run_demo(task: str, tiles: int, latency: float) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    The package's own errors (a malformed trace log, a bad option value)
+    and file-system errors end in one ``repro-drhw: error:`` line on
+    stderr and exit status 2, as argparse's usage errors do.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except (ReproError, OSError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args: argparse.Namespace) -> int:
+    """Execute the parsed command; returns the exit status."""
     jobs = getattr(args, "jobs", 1)
     if jobs == 0:
         jobs = default_jobs()
     cache_dir = getattr(args, "cache_dir", None)
     tt_cache = getattr(args, "tt_cache", True)
 
+    def engine() -> SweepEngine:
+        return SweepEngine(max_workers=jobs, cache_dir=cache_dir,
+                           tt_cache=tt_cache)
+
     if args.command == "table1":
         print(run_table1(jobs=jobs).format_table())
-    elif args.command == "figure6":
-        result = run_figure6(tile_counts=tuple(args.tiles),
-                             iterations=args.iterations, seed=args.seed,
-                             jobs=jobs, cache_dir=cache_dir,
-                             tt_cache=tt_cache)
-        print(result.format_table())
-    elif args.command == "figure7":
-        result = run_figure7(tile_counts=tuple(args.tiles),
-                             iterations=args.iterations, seed=args.seed,
-                             jobs=jobs, cache_dir=cache_dir,
-                             tt_cache=tt_cache)
-        print(result.format_table())
+    elif args.command in ("figure6", "figure7"):
+        figure = FIGURE6 if args.command == "figure6" else FIGURE7
+        print(run_artifact(figure, engine(), xs=args.tiles,
+                           iterations=args.iterations,
+                           seeds=(args.seed,)).format_table())
     elif args.command == "scalability":
         print(run_scalability(sizes=tuple(args.sizes)).format_table())
     elif args.command == "hide-rate":
@@ -696,35 +685,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         outputs = []
         if args.study in ("pick-metric", "all"):
             outputs.append(run_pick_metric_ablation().format_table())
-        if args.study in ("inter-task", "all"):
-            outputs.append(
-                run_intertask_ablation(iterations=args.iterations,
-                                       jobs=jobs,
-                                       cache_dir=cache_dir,
-                                       tt_cache=tt_cache).format_table()
-            )
-        if args.study in ("replacement", "all"):
-            outputs.append(
-                run_replacement_ablation(iterations=args.iterations,
-                                         jobs=jobs,
-                                         cache_dir=cache_dir,
-                                         tt_cache=tt_cache).format_table()
-            )
+        for study, artifact in (("inter-task", INTERTASK_ABLATION),
+                                ("replacement", REPLACEMENT_ABLATION)):
+            if args.study in (study, "all"):
+                outputs.append(run_artifact(
+                    artifact, engine(),
+                    iterations=args.iterations).format_table())
         if args.study in ("engine", "all"):
             outputs.append(run_engine_ablation().format_table())
         print("\n\n".join(outputs))
     elif args.command == "sweep":
         print(_run_sweep(args, jobs=jobs, cache_dir=cache_dir))
     elif args.command == "robustness":
-        result = run_robustness(workload=args.workload,
-                                tile_count=args.tiles,
-                                levels=tuple(args.levels),
-                                approaches=tuple(args.approaches),
-                                seeds=tuple(args.seeds),
-                                iterations=args.iterations,
-                                jobs=jobs, cache_dir=cache_dir,
-                                tt_cache=tt_cache)
-        print(result.format_table())
+        print(run_artifact(ROBUSTNESS, engine(), xs=args.levels,
+                           tile_count=args.tiles, iterations=args.iterations,
+                           seeds=args.seeds, workload=args.workload,
+                           approaches=args.approaches).format_table())
     elif args.command == "cache":
         print(_run_cache_gc(args))
     elif args.command == "serve":
@@ -744,8 +720,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.trace_command == "generate":
             return _run_trace_generate(args)
         return _run_trace_run(args, jobs=jobs, cache_dir=cache_dir)
-    else:  # pragma: no cover - argparse enforces the choices
-        parser.error(f"unknown command {args.command!r}")
     return 0
 
 

@@ -1,64 +1,16 @@
-"""Experiment drivers: one module per table/figure plus ablations."""
+"""Experiment drivers: every table and figure of the evaluation.
 
-from .ablation import (
-    EngineAblationResult,
-    InterTaskAblationResult,
-    PickMetricResult,
-    ReplacementAblationResult,
-    run_engine_ablation,
-    run_intertask_ablation,
-    run_pick_metric_ablation,
-    run_replacement_ablation,
-)
-from .common import Series, SeriesPoint, format_table, series_from_mapping
-from .energy import EnergyStudyResult, run_energy_study
-from .figure6 import FIGURE6_TILE_COUNTS, Figure6Result, run_figure6
-from .figure7 import FIGURE7_TILE_COUNTS, Figure7Result, run_figure7
-from .hide_rate import HideRateResult, PAPER_MINIMUM_HIDE_RATE, run_hide_rate
-from .latency_sweep import LatencySweepResult, run_latency_sweep
-from .robustness import (
-    DEFAULT_NOISE_LEVELS,
-    RobustnessCell,
-    RobustnessResult,
-    noise_profile,
-    run_robustness,
-)
-from .scalability import ScalabilityResult, run_scalability
-from .table1 import Table1Result, run_table1
+* :mod:`~repro.experiments.artifacts` declares each sweep-backed artifact
+  once (Figures 6 and 7, the latency sweep, the energy and robustness
+  studies, the inter-task and replacement ablations) and runs any of them
+  through :func:`~repro.experiments.artifacts.run_artifact`;
+* :mod:`~repro.experiments.table1`, :mod:`~repro.experiments.hide_rate`,
+  :mod:`~repro.experiments.scalability` and
+  :mod:`~repro.experiments.ablation` (pick metric, design-time engine)
+  are per-graph studies with a module each;
+* :mod:`~repro.experiments.robustness` holds the noise knob, and
+  :mod:`~repro.experiments.common` the shared table renderer and series.
 
-__all__ = [
-    "DEFAULT_NOISE_LEVELS",
-    "EnergyStudyResult",
-    "EngineAblationResult",
-    "FIGURE6_TILE_COUNTS",
-    "FIGURE7_TILE_COUNTS",
-    "Figure6Result",
-    "Figure7Result",
-    "HideRateResult",
-    "InterTaskAblationResult",
-    "LatencySweepResult",
-    "PAPER_MINIMUM_HIDE_RATE",
-    "PickMetricResult",
-    "ReplacementAblationResult",
-    "RobustnessCell",
-    "RobustnessResult",
-    "ScalabilityResult",
-    "Series",
-    "SeriesPoint",
-    "Table1Result",
-    "format_table",
-    "run_energy_study",
-    "run_engine_ablation",
-    "run_figure6",
-    "run_figure7",
-    "run_hide_rate",
-    "run_intertask_ablation",
-    "noise_profile",
-    "run_latency_sweep",
-    "run_pick_metric_ablation",
-    "run_replacement_ablation",
-    "run_robustness",
-    "run_scalability",
-    "run_table1",
-    "series_from_mapping",
-]
+The package imports none of them itself, so reaching one (the daemon
+needs only ``robustness.noise_profile``) loads only what that one needs.
+"""

@@ -1,6 +1,10 @@
 """Ablation studies of the design choices the paper calls out.
 
-Four design decisions of the hybrid heuristic are isolated and measured:
+Four design decisions of the hybrid heuristic are isolated and measured.
+The per-graph studies live here; the two sweeps (inter-task
+optimization and replacement policy) are the
+:data:`~repro.experiments.artifacts.INTERTASK_ABLATION` and
+:data:`~repro.experiments.artifacts.REPLACEMENT_ABLATION` declarations.
 
 * **Critical-subtask pick metric** — the paper adds the heaviest (longest
   remaining path) delay-generating subtask to the CS subset; the ablation
@@ -20,29 +24,16 @@ Four design decisions of the hybrid heuristic are isolated and measured:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.critical import CriticalSubtaskSelector, PICK_STRATEGIES
 from ..platform.description import Platform
-from ..reuse.replacement import (
-    FifoReplacement,
-    LfuReplacement,
-    LruReplacement,
-    RandomlikeReplacement,
-    ReplacementPolicy,
-    WeightAwareReplacement,
-)
-from ..runner import ApproachSpec, SweepEngine, SweepSpec
+from ..scheduling.base import PrefetchProblem
 from ..scheduling.list_scheduler import build_initial_schedule
 from ..scheduling.prefetch_bb import OptimalPrefetchScheduler
 from ..scheduling.prefetch_list import ListPrefetchScheduler
-from ..workloads.multimedia import (
-    jpeg_decoder_graph,
-    mpeg_encoder_graph,
-    parallel_jpeg_graph,
-    pattern_recognition_graph,
-)
 from .common import format_table
+from .hide_rate import multimedia_graphs
 
 #: Reconfiguration latency shared by every ablation (ms).
 LATENCY_MS = 4.0
@@ -87,16 +78,8 @@ def run_pick_metric_ablation(tile_count: int = 8) -> PickMetricResult:
     """Compare CS subset sizes for the different pick strategies."""
     platform = Platform(tile_count=tile_count,
                         reconfiguration_latency=LATENCY_MS)
-    graphs = [
-        pattern_recognition_graph(),
-        jpeg_decoder_graph(),
-        parallel_jpeg_graph(),
-        mpeg_encoder_graph("B"),
-        mpeg_encoder_graph("P"),
-        mpeg_encoder_graph("I"),
-    ]
     rows: List[PickMetricRow] = []
-    for graph in graphs:
+    for graph in multimedia_graphs():
         placed = build_initial_schedule(graph, platform)
         sizes: Dict[str, int] = {}
         for strategy in PICK_STRATEGIES:
@@ -108,162 +91,7 @@ def run_pick_metric_ablation(tile_count: int = 8) -> PickMetricResult:
 
 
 # ---------------------------------------------------------------------- #
-# 2. Inter-task optimization on/off
-# ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class InterTaskAblationResult:
-    """Hybrid overhead with and without the inter-task optimization."""
-
-    tile_count: int
-    iterations: int
-    overhead_with_intertask: float
-    overhead_without_intertask: float
-
-    @property
-    def improvement_percent_points(self) -> float:
-        """Overhead reduction achieved by the inter-task optimization."""
-        return self.overhead_without_intertask - self.overhead_with_intertask
-
-    def format_table(self) -> str:
-        """Render the inter-task ablation."""
-        headers = ["configuration", "overhead (%)"]
-        rows = [
-            ("hybrid with inter-task prefetch", self.overhead_with_intertask),
-            ("hybrid without inter-task prefetch",
-             self.overhead_without_intertask),
-        ]
-        return format_table(headers, rows,
-                            title=f"Ablation — inter-task optimization "
-                                  f"({self.tile_count} tiles, "
-                                  f"{self.iterations} iterations)")
-
-
-def run_intertask_ablation(tile_count: int = 8, iterations: int = 200,
-                           seed: int = 2005, jobs: int = 1,
-                           cache_dir: Optional[str] = None,
-                            tt_cache: bool = True
-                           ) -> InterTaskAblationResult:
-    """Measure the contribution of the Section 6 inter-task optimization."""
-    variants = {use_intertask: ApproachSpec.of("hybrid",
-                                               use_intertask=use_intertask)
-                for use_intertask in (True, False)}
-    spec = SweepSpec(
-        workloads=("multimedia",),
-        approaches=tuple(variants.values()),
-        tile_counts=(tile_count,),
-        seeds=(seed,),
-        iterations=iterations,
-    )
-    sweep = SweepEngine(max_workers=jobs, cache_dir=cache_dir,
-                        tt_cache=tt_cache).run(spec)
-    results = {
-        use_intertask:
-            sweep.metrics_for(approach=approach_spec).overhead_percent
-        for use_intertask, approach_spec in variants.items()
-    }
-    return InterTaskAblationResult(
-        tile_count=tile_count,
-        iterations=iterations,
-        overhead_with_intertask=results[True],
-        overhead_without_intertask=results[False],
-    )
-
-
-# ---------------------------------------------------------------------- #
-# 3. Replacement policy
-# ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ReplacementAblationResult:
-    """Hybrid overhead and reuse rate per replacement policy."""
-
-    tile_count: int
-    iterations: int
-    overhead_by_policy: Dict[str, float]
-    reuse_by_policy: Dict[str, float]
-
-    def format_table(self) -> str:
-        """Render the replacement-policy ablation."""
-        headers = ["policy", "overhead (%)", "reuse rate"]
-        rows = [
-            (name, self.overhead_by_policy[name], self.reuse_by_policy[name])
-            for name in sorted(self.overhead_by_policy)
-        ]
-        return format_table(headers, rows,
-                            title=f"Ablation — replacement policy "
-                                  f"({self.tile_count} tiles, "
-                                  f"{self.iterations} iterations)")
-
-
-def run_replacement_ablation(tile_count: int = 8, iterations: int = 200,
-                             seed: int = 2005,
-                             policies: Optional[Sequence[ReplacementPolicy]] = None,
-                             jobs: int = 1,
-                             cache_dir: Optional[str] = None,
-                              tt_cache: bool = True
-                             ) -> ReplacementAblationResult:
-    """Compare replacement policies under the hybrid approach.
-
-    Every policy runs the same seeded simulation; the sweep engine shares
-    one design-time exploration across all of them.
-    """
-    from ..reuse.replacement import REPLACEMENT_POLICIES
-
-    if policies is None:
-        policies = (LruReplacement(), FifoReplacement(), LfuReplacement(),
-                    RandomlikeReplacement(), WeightAwareReplacement())
-    variants = {
-        policy.name: ApproachSpec.of("hybrid", replacement=policy.name)
-        for policy in policies
-        if REPLACEMENT_POLICIES.get(policy.name) is type(policy)
-    }
-    overhead: Dict[str, float] = {}
-    reuse: Dict[str, float] = {}
-    if variants:
-        spec = SweepSpec(
-            workloads=("multimedia",),
-            approaches=tuple(variants.values()),
-            tile_counts=(tile_count,),
-            seeds=(seed,),
-            iterations=iterations,
-        )
-        sweep = SweepEngine(max_workers=jobs, cache_dir=cache_dir,
-                        tt_cache=tt_cache).run(spec)
-        for policy_name, approach_spec in variants.items():
-            metrics = sweep.metrics_for(approach=approach_spec)
-            overhead[policy_name] = metrics.overhead_percent
-            reuse[policy_name] = metrics.reuse_rate
-    from ..sim.approaches import HybridApproach
-    from ..sim.simulator import SimulationConfig, SystemSimulator
-    from ..workloads.multimedia import MultimediaWorkload
-
-    for policy in policies:
-        if policy.name in overhead:
-            continue
-        # Unregistered (custom) policies cannot cross a process boundary
-        # by name; run them directly in this process instead.
-        workload = MultimediaWorkload()
-        platform = Platform(
-            tile_count=tile_count,
-            reconfiguration_latency=workload.reconfiguration_latency,
-        )
-        simulator = SystemSimulator(
-            workload=workload, platform=platform, approach=HybridApproach(),
-            config=SimulationConfig(iterations=iterations, seed=seed),
-            replacement=policy,
-        )
-        metrics = simulator.run().metrics
-        overhead[policy.name] = metrics.overhead_percent
-        reuse[policy.name] = metrics.reuse_rate
-    return ReplacementAblationResult(
-        tile_count=tile_count,
-        iterations=iterations,
-        overhead_by_policy=overhead,
-        reuse_by_policy=reuse,
-    )
-
-
-# ---------------------------------------------------------------------- #
-# 4. Design-time prefetch engine
+# 2. Design-time prefetch engine
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class EngineAblationRow:
@@ -314,18 +142,8 @@ def run_engine_ablation(tile_count: int = 8) -> EngineAblationResult:
     """Compare the two design-time prefetch engines on the benchmarks."""
     platform = Platform(tile_count=tile_count,
                         reconfiguration_latency=LATENCY_MS)
-    graphs = [
-        pattern_recognition_graph(),
-        jpeg_decoder_graph(),
-        parallel_jpeg_graph(),
-        mpeg_encoder_graph("B"),
-        mpeg_encoder_graph("P"),
-        mpeg_encoder_graph("I"),
-    ]
-    from ..scheduling.base import PrefetchProblem  # local import to avoid cycle
-
     rows: List[EngineAblationRow] = []
-    for graph in graphs:
+    for graph in multimedia_graphs():
         placed = build_initial_schedule(graph, platform)
         problem = PrefetchProblem(placed, LATENCY_MS)
         optimal = OptimalPrefetchScheduler().schedule(problem)

@@ -55,11 +55,6 @@ class HideRateResult:
         """Mean hiding fraction of the list heuristic."""
         return sum(row.list_hidden_fraction for row in self.rows) / len(self.rows)
 
-    @property
-    def minimum_list_hidden(self) -> float:
-        """Worst-case hiding fraction of the list heuristic."""
-        return min(row.list_hidden_fraction for row in self.rows)
-
     def format_table(self) -> str:
         """Render the hide-rate study as a table."""
         headers = ["graph", "subtasks", "loads", "hidden (list)",

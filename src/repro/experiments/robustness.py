@@ -1,17 +1,15 @@
-"""Robustness curves: overhead degradation under run-time noise.
+"""Robustness under run-time noise: the intensity knob and its defaults.
 
 The paper's Figure 6/7 numbers assume the run-time phase replays its plans
-under perfect knowledge.  This study measures what happens when it does
-not: a single *noise intensity* knob is scaled into a full
+under perfect knowledge.  The robustness study measures what happens when
+it does not: one *noise intensity* is scaled into a full
 :class:`~repro.sim.noise.PerturbationConfig` (latency noise, execution
-misestimation, mid-flight load failures) and every approach is swept over
-``intensity x seeds`` through the ordinary
-:class:`~repro.runner.engine.SweepEngine` grid.  Each (approach, level)
-cell reports the mean overhead with a 95 % Student-t interval (the
-:func:`~repro.runner.ensemble.aggregate` helper), plus the stochastic
-counters that decompose the work into planned and fault-induced parts —
-failed load attempts, abandoned prefetches, and fault-attributable
-reloads.
+misestimation, mid-flight load failures), and every approach is swept
+over ``intensity x seeds``.  The sweep is the
+:data:`~repro.experiments.artifacts.ROBUSTNESS` declaration; each
+(approach, level) row reports the mean overhead with a 95 % Student-t
+interval, plus the failed load attempts, abandoned prefetches and
+fault-attributable reloads the noise caused.
 
 Intensity 0 is by construction the noise-free simulator (the
 ``perturbations`` axis normalizes it to ``None``), so the leftmost point
@@ -20,14 +18,10 @@ of every curve is bit-identical to the corresponding deterministic run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..runner import ApproachSpec, SweepEngine, SweepSpec, WorkloadSpec
-from ..runner.ensemble import EnsembleCell, aggregate
 from ..sim.noise import PerturbationConfig
-from .common import format_table
 
 #: Noise intensities swept by default: off, mild, moderate, harsh.
 DEFAULT_NOISE_LEVELS: Tuple[float, ...] = (0.0, 0.15, 0.3, 0.5)
@@ -61,145 +55,4 @@ def noise_profile(intensity: float) -> Optional[PerturbationConfig]:
         latency_jitter=1.0 * intensity,
         execution_sigma=0.2 * intensity,
         load_failure_rate=min(0.9, 0.25 * intensity),
-    )
-
-
-@dataclass(frozen=True)
-class RobustnessCell:
-    """One (approach, noise level) cell of the robustness grid."""
-
-    approach: str
-    level: float
-    overhead: EnsembleCell
-    loads_failed: EnsembleCell
-    prefetches_abandoned: EnsembleCell
-    fault_reloads: EnsembleCell
-
-
-@dataclass(frozen=True)
-class RobustnessResult:
-    """Overhead-vs-noise degradation curves with 95 % CIs."""
-
-    workload: str
-    tile_count: int
-    iterations: int
-    levels: Tuple[float, ...]
-    approaches: Tuple[str, ...]
-    seeds: Tuple[int, ...]
-    cells: Tuple[RobustnessCell, ...]
-
-    def cell(self, approach: str, level: float) -> RobustnessCell:
-        """The cell of one approach at one noise level."""
-        for candidate in self.cells:
-            if candidate.approach == approach and candidate.level == level:
-                return candidate
-        raise KeyError(f"no robustness cell for {approach!r} @ {level}")
-
-    def curve(self, approach: str) -> Dict[float, EnsembleCell]:
-        """``{noise level: overhead cell}`` of one approach (level-sorted)."""
-        return {cell.level: cell.overhead
-                for cell in sorted(self.cells, key=lambda c: c.level)
-                if cell.approach == approach}
-
-    def degradation(self, approach: str) -> float:
-        """Mean overhead increase from the lowest to the highest level."""
-        curve = self.curve(approach)
-        if not curve:
-            raise KeyError(f"no robustness curve for {approach!r}")
-        levels = sorted(curve)
-        return curve[levels[-1]].mean - curve[levels[0]].mean
-
-    def format_table(self) -> str:
-        """Render the full grid, one row per (approach, level) cell."""
-        rows: List[List[object]] = []
-        for cell in self.cells:
-            rows.append([
-                cell.approach,
-                f"{cell.level:.2f}",
-                f"{cell.overhead.mean:.3f}",
-                f"±{cell.overhead.ci_half_width:.3f}",
-                f"{cell.loads_failed.mean:.1f}",
-                f"{cell.prefetches_abandoned.mean:.1f}",
-                f"{cell.fault_reloads.mean:.1f}",
-                cell.overhead.count,
-            ])
-        table = format_table(
-            ["approach", "noise", "overhead (%)", "95% CI",
-             "failed loads", "abandoned", "fault reloads", "seeds"],
-            rows,
-            title=f"Robustness — overhead vs noise intensity "
-                  f"({self.workload}, {self.tile_count} tiles, "
-                  f"{self.iterations} iterations)",
-        )
-        note = ("intensity 0 is the noise-free simulator; failed/abandoned/"
-                "fault-reload columns decompose the extra work the noise "
-                "injected (per-run means)")
-        return f"{table}\n{note}"
-
-
-def run_robustness(workload: Union[str, WorkloadSpec] = "multimedia",
-                   tile_count: int = 8,
-                   levels: Sequence[float] = DEFAULT_NOISE_LEVELS,
-                   approaches: Sequence[str] = DEFAULT_APPROACHES,
-                   seeds: Sequence[int] = DEFAULT_SEEDS,
-                   iterations: int = 60, jobs: int = 1,
-                   cache_dir: Optional[str] = None,
-                   tt_cache: bool = True) -> RobustnessResult:
-    """Sweep noise intensity x approaches x seeds and aggregate per cell.
-
-    One engine run covers the whole grid, so ``jobs > 1`` parallelizes
-    across approaches, levels and seeds alike, and every point is
-    individually cacheable.
-    """
-    levels = tuple(dict.fromkeys(float(level) for level in levels))
-    if not levels:
-        raise ConfigurationError("robustness needs at least one noise level")
-    profiles = {level: noise_profile(level) for level in levels}
-    workload_spec = WorkloadSpec.of(workload)
-    spec = SweepSpec(
-        workloads=(workload_spec,),
-        approaches=tuple(ApproachSpec(name) for name in approaches),
-        tile_counts=(tile_count,),
-        seeds=tuple(seeds),
-        iterations=iterations,
-        perturbations=tuple(profiles[level] for level in levels),
-    )
-    sweep = SweepEngine(max_workers=jobs, cache_dir=cache_dir,
-                        tt_cache=tt_cache).run(spec)
-
-    samples: Dict[Tuple[str, float], Dict[str, List[float]]] = {}
-    for outcome in sweep:
-        level = next(level for level, profile in profiles.items()
-                     if profile == outcome.point.perturbation)
-        bucket = samples.setdefault(
-            (outcome.point.approach.label, level),
-            {"overhead": [], "failed": [], "abandoned": [], "fault": []},
-        )
-        metrics = outcome.metrics
-        bucket["overhead"].append(metrics.overhead_percent)
-        bucket["failed"].append(float(metrics.total_loads_failed))
-        bucket["abandoned"].append(float(metrics.total_prefetches_abandoned))
-        bucket["fault"].append(float(metrics.total_fault_reloads))
-
-    cells: List[RobustnessCell] = []
-    for approach_spec in spec.approaches:
-        for level in levels:
-            bucket = samples[(approach_spec.label, level)]
-            cells.append(RobustnessCell(
-                approach=approach_spec.label,
-                level=level,
-                overhead=aggregate(bucket["overhead"]),
-                loads_failed=aggregate(bucket["failed"]),
-                prefetches_abandoned=aggregate(bucket["abandoned"]),
-                fault_reloads=aggregate(bucket["fault"]),
-            ))
-    return RobustnessResult(
-        workload=workload_spec.label,
-        tile_count=tile_count,
-        iterations=iterations,
-        levels=levels,
-        approaches=tuple(spec.approaches[i].label
-                         for i in range(len(spec.approaches))),
-        seeds=tuple(spec.seeds),
-        cells=tuple(cells),
     )

@@ -42,13 +42,6 @@ class ScalabilityRow:
     hybrid_runtime_operations: int
     design_time_seconds: float
 
-    @property
-    def runtime_speedup(self) -> float:
-        """How much cheaper the hybrid run-time phase is (wall clock)."""
-        if self.hybrid_runtime_seconds <= 0:
-            return float("inf")
-        return self.runtime_heuristic_seconds / self.hybrid_runtime_seconds
-
 
 @dataclass(frozen=True)
 class ScalabilityResult:

@@ -9,6 +9,12 @@ path, and any ``indent`` rules out CPython's C encoder too, while a
 compact ``dumps`` of the whole entry is C-encoded.  Readers parse JSON,
 so files written in an indented layout stay readable.
 
+:func:`loads` is the one reader: :func:`json.loads`, except that a
+document nested past the interpreter's recursion limit raises the
+:class:`ValueError` every other malformed document raises, not a
+:class:`RecursionError` that the daemon, the cache readers and the trace
+parser would let through.
+
 :func:`atomic_write_json` is the one implementation of the temp-file +
 :func:`os.replace` dance (used by the sweep result/exploration caches and
 the transposition store), so a future durability fix — fsync, replace
@@ -35,6 +41,14 @@ TEMP_PREFIX = ".tmp-"
 def dumps_canonical(payload: object) -> str:
     """The canonical JSON the fabric hashes, compares and stores."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def loads(text: str, **hooks) -> object:
+    """:func:`json.loads` that reports too-deep nesting as a ValueError."""
+    try:
+        return json.loads(text, **hooks)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def atomic_write_json(directory: Path, path: Path,

@@ -16,6 +16,7 @@ candidates remain.
 from __future__ import annotations
 
 import abc
+import zlib
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import PlatformError
@@ -127,15 +128,17 @@ class FifoReplacement(ReplacementPolicy):
 class RandomlikeReplacement(ReplacementPolicy):
     """Deterministic pseudo-random victim selection (ablation baseline).
 
-    The rank is a hash of the tile index and the resident configuration, so
-    the policy behaves like a random choice while staying reproducible.
+    The rank is a CRC-32 of the tile index and the resident configuration,
+    so the policy behaves like a random choice while staying reproducible.
+    The built-in ``hash`` of a string is salted per interpreter, so it would
+    pick different victims in every process (and in every cached point).
     """
 
     name = "randomlike"
 
     def victim_rank(self, tile: TileState, now: float) -> Tuple:
         token = f"{tile.index}:{tile.configuration}"
-        return (hash(token) & 0xFFFF,)
+        return (zlib.crc32(token.encode("utf-8")) & 0xFFFF,)
 
 
 class WeightAwareReplacement(ReplacementPolicy):

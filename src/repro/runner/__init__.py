@@ -19,10 +19,12 @@ subsystem turns that observation into infrastructure:
   primitive the non-simulation drivers (Table 1, hide-rate, scalability)
   fan out with.
 
-Every experiment driver in :mod:`repro.experiments`, the
-``--jobs``/``--cache-dir`` CLI flags and the benchmark harness run through
-this engine; seed ensembles (many ``seeds`` in one spec) and larger grids
-are one :class:`SweepSpec` away.
+The artifact driver :func:`repro.experiments.artifacts.run_artifact`
+(one :class:`SweepSpec` per declared figure or study), the per-graph
+studies (through :func:`parallel_map`), the ``--jobs``/``--cache-dir`` CLI
+flags and the benchmark harness run through this engine; seed ensembles
+(many ``seeds`` in one spec) and larger grids are one :class:`SweepSpec`
+away.
 """
 
 from .cache import (

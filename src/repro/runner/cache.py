@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import time
 import typing
 from dataclasses import dataclass, field as dataclass_field
@@ -44,7 +43,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import ReproError
-from ..jsonio import dumps_canonical
+from ..jsonio import dumps_canonical, loads
 from ..platform.description import Platform
 from ..sim.metrics import SimulationMetrics
 from ..storage import (
@@ -73,8 +72,10 @@ from .spec import SPEC_FORMAT_VERSION, SweepPoint, WorkloadSpec
 #: ``perturbation`` block to point payloads; version 5: noisy plans are
 #: realized on the replay kernel, and version-4 entries for noisy
 #: no-prefetch and hybrid points hold the old, wrong numbers, so they
-#: must recompute).
-CACHE_FORMAT_VERSION = 5
+#: must recompute; version 6: the ``randomlike`` replacement policy ranks
+#: by a stable digest instead of the interpreter-salted ``hash``, so
+#: version-5 randomlike entries hold whatever their process drew).
+CACHE_FORMAT_VERSION = 6
 
 #: Bump when the on-disk representation of an exploration changes.
 EXPLORATION_FORMAT_VERSION = 1
@@ -240,7 +241,7 @@ class ResultCache:
         exactly like absent ones — never trusted, never raised.
         """
         try:
-            data = json.loads(self.backend.read_text(self.name_for(point)))
+            data = loads(self.backend.read_text(self.name_for(point)))
             if data.get("format") != CACHE_FORMAT_VERSION:
                 return None
             if data.get("point") != point.payload():
@@ -463,7 +464,7 @@ class ExplorationCache:
         entry cannot produce an inconsistent exploration.
         """
         try:
-            data = json.loads(
+            data = loads(
                 self.backend.read_text(self.name_for(workload, tile_count))
             )
             if data.get("request") != self._payload(workload, tile_count):

@@ -69,7 +69,6 @@ store counts only its own writes.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -77,7 +76,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from collections import OrderedDict
 
 from ..graphs.serialization import graph_to_dict
-from ..jsonio import dumps_canonical
+from ..jsonio import dumps_canonical, loads
 from ..storage import (
     TEMP_PATTERN,
     Backend,
@@ -290,7 +289,7 @@ class TranspositionStore:
         most-recently-used ordering, capped to ``max_entries``.
         """
         try:
-            data = json.loads(self.backend.read_text(context.filename))
+            data = loads(self.backend.read_text(context.filename))
             if data.get("format") != TTSTORE_FORMAT_VERSION:
                 self.tables_missed += 1
                 return None

@@ -38,6 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ReproError
 from ..experiments.robustness import noise_profile
+from ..jsonio import loads
 from ..runner.cache import metrics_to_dict
 from ..runner.ensemble import aggregate
 from ..runner.spec import ApproachSpec, SweepPoint, WorkloadSpec
@@ -534,9 +535,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length) if length else b""
         if raw:
             try:
-                payload = json.loads(raw.decode("utf-8"),
-                                     parse_constant=_finite_number,
-                                     parse_float=_finite_number)
+                payload = loads(raw.decode("utf-8"),
+                                parse_constant=_finite_number,
+                                parse_float=_finite_number)
             except (UnicodeDecodeError, ValueError):
                 self._respond(400, {"error": "request body is not JSON"})
                 return

@@ -55,16 +55,17 @@ endpoint like any built-in family.
 
 from __future__ import annotations
 
-import json
+import io
 import math
 import random
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..errors import WorkloadError
 from ..graphs.generators import multimedia_like
-from ..jsonio import dumps_canonical
+from ..jsonio import dumps_canonical, loads
 from ..platform.description import DEFAULT_RECONFIGURATION_LATENCY_MS
 from ..tcm.scenario import DynamicTask, Scenario, TaskInstance, TaskSet
 from .base import Workload
@@ -122,11 +123,16 @@ def _fail(lineno: int, message: str) -> "TraceFormatError":
 
 
 def _parse_graph_id(value: object, lineno: int, what: str = "task") -> int:
-    if isinstance(value, str) and value.isdigit():
-        value = int(value)
+    # ASCII only: "²".isdigit() holds but int("²") fails.  Past the
+    # interpreter's integer-digit limit int() fails too; both are no id.
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        try:
+            value = int(value)
+        except ValueError:
+            pass
     if isinstance(value, bool) or not isinstance(value, int):
         raise _fail(lineno, f"{what} must be a non-negative integer, "
-                            f"got {value!r}")
+                            f"got {reprlib.repr(value)}")
     if value < 0:
         raise _fail(lineno, f"{what} must be non-negative, got {value}")
     return value
@@ -135,9 +141,12 @@ def _parse_graph_id(value: object, lineno: int, what: str = "task") -> int:
 def parse_trace_line(line: str, lineno: int = 1) -> TraceRecord:
     """Parse one JSON record, validating every field against the schema."""
     try:
-        raw = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise _fail(lineno, f"not valid JSON ({exc.msg})") from None
+        raw = loads(line)
+    except ValueError as exc:
+        # A syntax error, nesting past the recursion limit or a number
+        # past the interpreter's integer-digit limit.
+        raise _fail(lineno, f"not valid JSON "
+                            f"({getattr(exc, 'msg', exc)})") from None
     if not isinstance(raw, dict):
         raise _fail(lineno, f"record must be a JSON object, "
                             f"got {type(raw).__name__}")
@@ -226,15 +235,29 @@ def parse_trace(lines: Iterable[str]) -> List[TraceRecord]:
 
 
 def format_trace(records: Sequence[TraceRecord]) -> str:
-    """Serialize records back to a JSON-lines log (inverse of parsing)."""
-    return "".join(dumps_canonical(record.payload()) + "\n"
+    """Serialize records back to a JSON-lines log (inverse of parsing).
+
+    The log is parsed back before it is returned, so the writer refuses,
+    with the parser's :class:`TraceFormatError`, every record the parser
+    would refuse (a NaN timestamp, a negative id, an unseen dep).
+    """
+    text = "".join(dumps_canonical(record.payload()) + "\n"
                    for record in records)
+    parse_trace(io.StringIO(text))
+    return text
 
 
 def read_trace(path: Union[str, Path]) -> List[TraceRecord]:
-    """Parse the access log at ``path``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_trace(handle)
+    """Parse the UTF-8 access log at ``path``."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8")
+        lineno = head.replace("\r\n", "\n").replace("\r", "\n").count("\n")
+        raise _fail(lineno + 1, f"not UTF-8 ({exc.reason})") from None
+    # Universal newlines, as a text-mode open() would split the lines.
+    return parse_trace(io.StringIO(text, newline=None))
 
 
 def write_trace(records: Sequence[TraceRecord],

@@ -5,12 +5,17 @@ import pytest
 from repro.core.critical import PICK_STRATEGIES
 from repro.experiments.ablation import (
     run_engine_ablation,
-    run_intertask_ablation,
     run_pick_metric_ablation,
-    run_replacement_ablation,
+)
+from repro.experiments.artifacts import (
+    INTERTASK_ABLATION,
+    REPLACEMENT_ABLATION,
+    run_artifact,
 )
 
 ITERATIONS = 40
+WITH = "hybrid with inter-task prefetch"
+WITHOUT = "hybrid without inter-task prefetch"
 
 
 class TestPickMetricAblation:
@@ -35,14 +40,14 @@ class TestPickMetricAblation:
 class TestInterTaskAblation:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_intertask_ablation(iterations=ITERATIONS, seed=3)
+        return run_artifact(INTERTASK_ABLATION, iterations=ITERATIONS,
+                            seeds=(3,))
 
     def test_intertask_never_hurts(self, result):
-        assert result.overhead_with_intertask <= \
-            result.overhead_without_intertask + 1e-9
+        assert result.value(WITH, 8) <= result.value(WITHOUT, 8) + 1e-9
 
     def test_intertask_brings_meaningful_gain(self, result):
-        assert result.improvement_percent_points > 0.5
+        assert result.value(WITHOUT, 8) - result.value(WITH, 8) > 0.5
 
     def test_format(self, result):
         assert "inter-task" in result.format_table()
@@ -51,20 +56,21 @@ class TestInterTaskAblation:
 class TestReplacementAblation:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_replacement_ablation(iterations=ITERATIONS, seed=3)
+        return run_artifact(REPLACEMENT_ABLATION, iterations=ITERATIONS,
+                            seeds=(3,))
 
     def test_all_policies_reported(self, result):
-        assert set(result.overhead_by_policy) == {
+        assert set(result.approaches) == {
             "lru", "lfu", "fifo", "randomlike", "weight-aware"
         }
 
     def test_reuse_rates_in_unit_interval(self, result):
-        for value in result.reuse_by_policy.values():
-            assert 0.0 <= value <= 1.0
+        for policy in result.approaches:
+            assert 0.0 <= result.value(policy, 8, "reuse_rate") <= 1.0
 
     def test_overheads_positive_and_small(self, result):
-        for value in result.overhead_by_policy.values():
-            assert 0.0 <= value < 25.0
+        for policy in result.approaches:
+            assert 0.0 <= result.value(policy, 8) < 25.0
 
     def test_format(self, result):
         assert "lru" in result.format_table()

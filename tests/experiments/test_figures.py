@@ -6,8 +6,12 @@ stays fast; the benchmark harness runs the full configuration.
 
 import pytest
 
-from repro.experiments.figure6 import run_figure6
-from repro.experiments.figure7 import measure_critical_fraction, run_figure7
+from repro.experiments.artifacts import (
+    FIGURE6,
+    FIGURE7,
+    critical_fraction,
+    run_artifact,
+)
 from repro.workloads.pocketgl import POCKETGL_REFERENCE
 
 from tests.conftest import SMALL_ITERATIONS
@@ -20,24 +24,26 @@ ITERATIONS = SMALL_ITERATIONS
 
 @pytest.fixture(scope="module")
 def figure6():
-    return run_figure6(tile_counts=(8, 12, 16), iterations=ITERATIONS, seed=7)
+    return run_artifact(FIGURE6, xs=(8, 12, 16), iterations=ITERATIONS,
+                        seeds=(7,))
 
 
 @pytest.fixture(scope="module")
 def figure7():
-    return run_figure7(tile_counts=(5, 8, 10), iterations=ITERATIONS, seed=7)
+    return run_artifact(FIGURE7, xs=(5, 8, 10), iterations=ITERATIONS,
+                        seeds=(7,))
 
 
 class TestFigure6:
     def test_contains_three_curves(self, figure6):
-        assert set(figure6.series) == {"run-time", "run-time+inter-task",
-                                       "hybrid"}
+        for name in ("run-time", "run-time+inter-task", "hybrid"):
+            assert figure6.curve(name).xs == (8.0, 12.0, 16.0)
 
     def test_approach_ordering_matches_paper(self, figure6):
         """no-prefetch >> design-time >= run-time >= hybrid (per tile count)."""
-        for tiles in figure6.tile_counts:
-            no_prefetch = figure6.metrics[("no-prefetch", tiles)].overhead_percent
-            design_time = figure6.metrics[("design-time", tiles)].overhead_percent
+        for tiles in figure6.xs:
+            no_prefetch = figure6.value("no-prefetch", tiles)
+            design_time = figure6.value("design-time", tiles)
             run_time = figure6.curve("run-time").value_at(tiles)
             hybrid = figure6.curve("hybrid").value_at(tiles)
             assert no_prefetch > design_time
@@ -45,15 +51,15 @@ class TestFigure6:
             assert hybrid < run_time
 
     def test_baseline_magnitudes(self, figure6):
-        assert figure6.baselines["no-prefetch"] == pytest.approx(23.0, abs=6.0)
-        assert figure6.baselines["design-time"] == pytest.approx(7.0, abs=2.0)
+        assert figure6.value("no-prefetch", 8) == pytest.approx(23.0, abs=6.0)
+        assert figure6.value("design-time", 8) == pytest.approx(7.0, abs=2.0)
 
     def test_hybrid_hides_most_overhead(self, figure6):
-        for tiles in figure6.tile_counts:
+        for tiles in figure6.xs:
             assert figure6.hidden_fraction("hybrid", tiles) >= 0.85
 
     def test_hybrid_close_to_runtime_intertask(self, figure6):
-        for tiles in figure6.tile_counts:
+        for tiles in figure6.xs:
             hybrid = figure6.curve("hybrid").value_at(tiles)
             intertask = figure6.curve("run-time+inter-task").value_at(tiles)
             assert abs(hybrid - intertask) <= 1.0
@@ -80,14 +86,14 @@ class TestFigure7:
         configurations) even the no-prefetch baseline benefits from full
         reuse, so the check only applies below that point.
         """
-        for tiles in figure7.tile_counts:
+        for tiles in figure7.xs:
             if tiles <= 8:
-                assert figure7.metrics[("no-prefetch", tiles)].overhead_percent > 40.0
+                assert figure7.value("no-prefetch", tiles) > 40.0
 
     def test_design_time_between_no_prefetch_and_hybrid(self, figure7):
-        for tiles in figure7.tile_counts:
-            no_prefetch = figure7.metrics[("no-prefetch", tiles)].overhead_percent
-            design_time = figure7.metrics[("design-time", tiles)].overhead_percent
+        for tiles in figure7.xs:
+            no_prefetch = figure7.value("no-prefetch", tiles)
+            design_time = figure7.value("design-time", tiles)
             hybrid = figure7.curve("hybrid").value_at(tiles)
             assert hybrid < design_time
             if tiles <= 8:
@@ -105,7 +111,7 @@ class TestFigure7:
             assert series.value_at(10) <= series.value_at(5) + 0.5
 
     def test_critical_fraction_close_to_paper(self, figure7):
-        assert figure7.critical_fraction == pytest.approx(
+        assert figure7.critical_fraction[10] == pytest.approx(
             POCKETGL_REFERENCE["critical_fraction"], abs=0.1
         )
 
@@ -117,7 +123,7 @@ class TestFigure7:
 
 class TestCriticalFractionHelper:
     def test_standalone_measurement(self):
-        fraction = measure_critical_fraction(tile_count=8)
+        fraction = critical_fraction("pocketgl", 8)
         assert 0.4 <= fraction <= 0.8
 
     def test_precomputed_exploration_matches_fresh(self):
@@ -125,5 +131,5 @@ class TestCriticalFractionHelper:
         from repro.runner import WorkloadSpec, explore_platform
 
         _, _, design = explore_platform(WorkloadSpec.of("pocketgl"), 8)
-        shared = measure_critical_fraction(tile_count=8, design_result=design)
-        assert shared == measure_critical_fraction(tile_count=8)
+        shared = critical_fraction("pocketgl", 8, design_result=design)
+        assert shared == critical_fraction("pocketgl", 8)

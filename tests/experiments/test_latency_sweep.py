@@ -1,8 +1,10 @@
 """Tests for the reconfiguration-latency sweep."""
 
+import hashlib
+
 import pytest
 
-from repro.experiments.latency_sweep import run_latency_sweep
+from repro.experiments.artifacts import LATENCY_SWEEP, run_artifact
 
 #: Simulates three latencies x three approaches: a heavyweight sweep.
 pytestmark = pytest.mark.slow
@@ -10,35 +12,41 @@ pytestmark = pytest.mark.slow
 
 @pytest.fixture(scope="module")
 def result():
-    return run_latency_sweep(latencies=(0.5, 4.0, 8.0), iterations=30, seed=3)
+    return run_artifact(LATENCY_SWEEP, xs=(0.5, 4.0, 8.0), iterations=30,
+                        seeds=(3,))
 
 
 class TestLatencySweep:
     def test_rows_match_latencies(self, result):
-        assert [row.latency_ms for row in result.rows] == [0.5, 4.0, 8.0]
+        assert list(result.xs) == [0.5, 4.0, 8.0]
 
     def test_overhead_grows_with_latency(self, result):
-        for metric in ("no_prefetch_percent", "run_time_percent",
-                       "hybrid_percent"):
-            values = [getattr(row, metric) for row in result.rows]
+        for approach in ("no-prefetch", "run-time", "hybrid"):
+            values = [result.value(approach, x) for x in result.xs]
             assert values[0] <= values[-1] + 1e-9
 
     def test_critical_fraction_grows_with_latency(self, result):
-        fractions = [row.critical_fraction for row in result.rows]
+        fractions = [result.critical_fraction[x] for x in result.xs]
         assert fractions[0] <= fractions[-1] + 1e-9
         assert all(0.0 <= fraction <= 1.0 for fraction in fractions)
 
     def test_hybrid_always_best(self, result):
-        for row in result.rows:
-            assert row.hybrid_percent <= row.no_prefetch_percent + 1e-9
-            assert row.hybrid_percent <= row.run_time_percent + 1e-9
+        for x in result.xs:
+            hybrid = result.value("hybrid", x)
+            assert hybrid <= result.value("no-prefetch", x) + 1e-9
+            assert hybrid <= result.value("run-time", x) + 1e-9
 
     def test_row_lookup(self, result):
-        assert result.row(4.0).latency_ms == 4.0
+        assert result.value("hybrid", 4.0) >= 0.0
         with pytest.raises(KeyError):
-            result.row(3.0)
+            result.value("hybrid", 3.0)
 
     def test_format(self, result):
         table = result.format_table()
         assert "latency" in table
         assert "hybrid" in table
+
+    def test_format_is_pinned(self, result):
+        digest = hashlib.sha256(result.format_table().encode()).hexdigest()
+        assert digest == ("214d0b38b990cb08256bc0f0fecb9388"
+                          "8daaab8316f970f465d3ff8e267935c5")

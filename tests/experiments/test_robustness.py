@@ -1,16 +1,16 @@
-"""Tests for the robustness study driver (repro.experiments.robustness)."""
+"""Tests for the robustness study (repro.experiments.robustness)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.artifacts import ROBUSTNESS, run_artifact
 from repro.experiments.robustness import (
     DEFAULT_APPROACHES,
     DEFAULT_NOISE_LEVELS,
     DEFAULT_SEEDS,
     noise_profile,
-    run_robustness,
 )
 
 
@@ -43,38 +43,40 @@ class TestNoiseProfile:
 class TestRunRobustness:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_robustness(
-            workload="synthetic", tile_count=6,
-            levels=(0.0, 0.4), approaches=("design-time", "adaptive"),
+        return run_artifact(
+            ROBUSTNESS, workload="synthetic", tile_count=6,
+            xs=(0.0, 0.4), approaches=("design-time", "adaptive"),
             seeds=(1, 2, 3), iterations=10,
         )
 
     def test_grid_shape(self, result):
-        assert result.levels == (0.0, 0.4)
+        assert result.xs == (0.0, 0.4)
         assert set(result.approaches) == {"design-time", "adaptive"}
-        assert len(result.cells) == 4
-        for cell in result.cells:
-            assert cell.overhead.count == 3
+        assert len(result.points) == 4
+        for samples in result.points.values():
+            assert len(samples) == 3
 
     def test_zero_level_has_no_stochastic_work(self, result):
         for name in result.approaches:
-            cell = result.cell(name, 0.0)
-            assert cell.loads_failed.mean == 0.0
-            assert cell.prefetches_abandoned.mean == 0.0
+            assert result.cell(name, 0.0, "total_loads_failed").mean == 0.0
+            assert result.cell(name, 0.0,
+                               "total_prefetches_abandoned").mean == 0.0
 
     def test_noise_level_injects_failures(self, result):
-        assert result.cell("design-time", 0.4).loads_failed.mean > 0.0
+        assert result.cell("design-time", 0.4,
+                           "total_loads_failed").mean > 0.0
 
     def test_curve_and_degradation(self, result):
         curve = result.curve("adaptive")
-        assert list(curve) == [0.0, 0.4]
-        assert result.degradation("adaptive") \
-            == pytest.approx(curve[0.4].mean - curve[0.0].mean)
+        assert curve.xs == (0.0, 0.4)
+        assert curve.value_at(0.4) - curve.value_at(0.0) == pytest.approx(
+            result.cell("adaptive", 0.4).mean
+            - result.cell("adaptive", 0.0).mean)
 
     def test_adaptive_degrades_no_worse_than_design_time(self, result):
-        top = max(result.levels)
-        assert result.cell("adaptive", top).overhead.mean \
-            <= result.cell("design-time", top).overhead.mean + 1e-9
+        top = max(result.xs)
+        assert result.cell("adaptive", top).mean \
+            <= result.cell("design-time", top).mean + 1e-9
 
     def test_format_table(self, result):
         text = result.format_table()
@@ -86,8 +88,8 @@ class TestRunRobustness:
         with pytest.raises(KeyError):
             result.cell("design-time", 0.9)
         with pytest.raises(KeyError):
-            result.degradation("hybrid")
+            result.curve("hybrid")
 
     def test_empty_levels_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_robustness(levels=())
+            run_artifact(ROBUSTNESS, xs=())

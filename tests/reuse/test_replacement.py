@@ -1,5 +1,10 @@
 """Unit tests for the tile replacement policies."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import PlatformError
@@ -104,6 +109,28 @@ class TestSpecialPolicies:
         first = RandomlikeReplacement().select_victims(tiles, 3, now=0.0)
         second = RandomlikeReplacement().select_victims(tiles, 3, now=0.0)
         assert first == second
+
+    def test_randomlike_is_the_same_in_every_interpreter(self):
+        """String hashes are salted per process; the ranking must not be."""
+        script = (
+            "from repro.platform.tile import TileState\n"
+            "from repro.reuse.replacement import RandomlikeReplacement\n"
+            "tiles = []\n"
+            "for index in range(16):\n"
+            "    tile = TileState(index=index)\n"
+            "    tile.load(f'cfg{index % 5}_{index}', completion_time=1.0)\n"
+            "    tiles.append(tile)\n"
+            "print(RandomlikeReplacement().select_victims(tiles, 16, now=0.0))"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        outputs = set()
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONPATH=str(src),
+                       PYTHONHASHSEED=hash_seed)
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert len(outputs) == 1
 
     def test_weight_aware_keeps_heavy_configurations(self):
         tiles = make_tiles()

@@ -146,6 +146,41 @@ class TestPoisonedWarmRuns:
         assert healed.outcomes[0].metrics == reference_metrics
 
 
+class TestDeeplyNestedEntries:
+    """A file of nothing but ``[`` makes ``json.loads`` raise a
+    RecursionError, not the ValueError of every other malformed entry;
+    each reader must still treat it as a miss and recompute."""
+
+    @pytest.fixture(scope="class")
+    def hybrid_spec(self) -> SweepSpec:
+        # hybrid (not run-time): only an exact design engine persists
+        # transposition tables, so all three readers get exercised.
+        return SweepSpec(workloads=("multimedia",),
+                         approaches=(ApproachSpec("hybrid"),),
+                         tile_counts=(4,), seeds=(1,),
+                         iterations=ITERATIONS)
+
+    @pytest.mark.parametrize("kind", ["results", "explorations", "ttables"])
+    def test_deep_entry_recomputes(self, tmp_path, hybrid_spec, kind):
+        clean = SweepEngine().run(hybrid_spec).outcomes[0].metrics
+        cache_dir = tmp_path / "cache"
+        assert run_warm(cache_dir, hybrid_spec).computed_count == 1
+        folders = {"results": cache_dir,
+                   "explorations": cache_dir / "explorations",
+                   "ttables": cache_dir / "ttables"}
+        poisoned = sorted(folders[kind].glob("*.json"))
+        assert poisoned, f"no {kind} entry to poison"
+        for path in poisoned:
+            path.write_text("[" * 100_000, encoding="utf-8")
+        if kind != "results":
+            # Drop the result so the point recomputes and reads the rest.
+            for path in cache_dir.glob("*.json"):
+                path.unlink()
+        warm = run_warm(cache_dir, hybrid_spec)
+        assert warm.computed_count == 1
+        assert warm.outcomes[0].metrics == clean
+
+
 class TestVersionSkewDowngrade:
     """Entries written by a *newer* code version (the downgrade path).
 

@@ -425,6 +425,21 @@ class TestHttpLayer:
         assert response.status == 400, body
         assert "error" in body
 
+    def test_deeply_nested_body_is_400(self, live_server):
+        # 400 KB of "[" is under the body cap, and json.loads gives up on
+        # it with a RecursionError rather than a ValueError.
+        body = b"[" * 400_000
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", live_server.server_address[1], timeout=30)
+        try:
+            connection.request("POST", "/simulate", body=body)
+            response = connection.getresponse()
+            reply = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert reply == {"error": "request body is not JSON"}
+
     def test_overflowing_json_number_is_400(self, live_server):
         body = b'{"task": "jpeg_decoder", "latency": 1e999}'
         reply = self._raw_exchange(

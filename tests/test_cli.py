@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,6 +11,27 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.workloads import registry
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _surface(parser: argparse.ArgumentParser, path=()):
+    """Each option of each (sub-)command: strings, dest, default, nargs,
+    type and choices."""
+    rows = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            rows.append((path, action.dest, list(action.choices)))
+            for name, subparser in action.choices.items():
+                rows.extend(_surface(subparser, path + (name,)))
+            continue
+        rows.append((path, action.option_strings, action.dest,
+                     action.default, action.nargs,
+                     getattr(action.type, "__name__", action.type),
+                     action.choices))
+    return rows
 
 
 class TestImportFootprint:
@@ -37,6 +60,13 @@ class TestParser:
                         "demo"):
             args = parser.parse_args([command])
             assert args.command == command
+
+    def test_surface_is_pinned(self):
+        """No option, flag, default or choice changes unnoticed."""
+        surface = "\n".join(repr(row) for row in _surface(build_parser()))
+        assert _digest(surface) == (
+            "5e92198dcc7e207057acd23538a411827c97633886b70800496fe337c6d78f79"
+        ), surface
 
     def test_figure6_options(self):
         args = build_parser().parse_args(
@@ -93,11 +123,16 @@ class TestParser:
 
 
 class TestCommands:
+    """Each artifact command's whole stdout is also pinned by its sha256,
+    so a refactor of the experiment drivers cannot change one byte."""
+
     def test_table1(self, capsys):
         assert main(["table1"]) == 0
         output = capsys.readouterr().out
         assert "jpeg_decoder" in output
         assert "paper overhead" in output
+        assert _digest(output) == ("1f7184833d5f1d988a300f7b51c95273"
+                                   "3e0b6bb1933ee42d9e865ff0b3217fdd")
 
     def test_demo(self, capsys):
         assert main(["demo", "--task", "jpeg_decoder"]) == 0
@@ -105,6 +140,8 @@ class TestCommands:
         assert "without prefetch" in output
         assert "hybrid heuristic" in output
         assert "reconfig" in output
+        assert _digest(output) == ("c60cffbae0d9d159bf641b0cf7c226fa"
+                                   "42b7519c7342a6301d1b83f79b24c9a6")
 
     def test_demo_tasks_are_the_registered_task_graphs(self):
         parser = build_parser()
@@ -115,7 +152,10 @@ class TestCommands:
 
     def test_hide_rate(self, capsys):
         assert main(["hide-rate"]) == 0
-        assert "hidden" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "hidden" in output
+        assert _digest(output) == ("cf999f5dbbe734764b753367631c490b"
+                                   "17e6d285d09fb879ccbf7aa2de58ab16")
 
     def test_scalability(self, capsys):
         assert main(["scalability", "--sizes", "5", "10"]) == 0
@@ -123,15 +163,31 @@ class TestCommands:
 
     def test_ablation_pick_metric(self, capsys):
         assert main(["ablation", "--study", "pick-metric"]) == 0
-        assert "max-weight" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "max-weight" in output
+        assert _digest(output) == ("f74f455508d65cb9360dd165654a6b0f"
+                                   "1b6cd6dd136ab95b291d93ad42ad7d67")
+
+    def test_ablation_all_studies(self, capsys):
+        assert main(["ablation", "--iterations", "5"]) == 0
+        output = capsys.readouterr().out
+        assert "randomlike" in output
+        assert _digest(output) == ("26aac19e09e3e7f1fc0139fc48f93f52"
+                                   "d070527b065b1ddba00d1ce547b413b4")
 
     def test_figure6_tiny(self, capsys):
         assert main(["figure6", "--iterations", "5", "--tiles", "8"]) == 0
-        assert "Figure 6" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "Figure 6" in output
+        assert _digest(output) == ("cda85b486ad8135eddcba38a12158034"
+                                   "89586884094077022fdb341bbb5aeecd")
 
     def test_figure7_tiny(self, capsys):
         assert main(["figure7", "--iterations", "5", "--tiles", "6"]) == 0
-        assert "Figure 7" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "Figure 7" in output
+        assert _digest(output) == ("713c5a4af2e17046fa3584709564520d"
+                                   "4a7c1e0917c87b1192cca774ed241b5b")
 
     def test_sweep_ensemble_tiny(self, capsys):
         assert main(["sweep", "--approaches", "run-time", "--tiles", "4",
@@ -170,13 +226,13 @@ class TestCommands:
         assert "overhead (%)" in output
         assert "design-time" in output and "adaptive" in output
         assert "±" in output
+        assert _digest(output) == ("955b7853b73db15c36592d35a3b33670"
+                                   "5d90ccb08e9101a3f769ab6120a9ff02")
 
-    def test_sweep_distributed_requires_cache_dir(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="cache-dir"):
-            main(["sweep", "--distributed", "--iterations", "5",
-                  "--tiles", "4", "--approaches", "run-time"])
+    def test_sweep_distributed_requires_cache_dir(self, capsys):
+        assert main(["sweep", "--distributed", "--iterations", "5",
+                     "--tiles", "4", "--approaches", "run-time"]) == 2
+        assert "cache-dir" in capsys.readouterr().err
 
 
 class TestCacheGcCommand:
@@ -282,9 +338,24 @@ class TestTraceCommand:
         assert main(argv + ["--min-warm-rate", "0.99"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_run_rejects_malformed_service_endpoint(self):
-        from repro.errors import ConfigurationError
+    def test_run_rejects_malformed_service_endpoint(self, capsys):
+        assert main(["trace", "run", "--records", "5", "--universe", "2",
+                     "--service", "nonsense"]) == 2
+        assert "HOST:PORT" in capsys.readouterr().err
 
-        with pytest.raises(ConfigurationError, match="HOST:PORT"):
-            main(["trace", "run", "--records", "5", "--universe", "2",
-                  "--service", "nonsense"])
+    def test_malformed_log_is_one_error_line(self, tmp_path):
+        """The 5/NaN/1 log: exit 2, the parser's line, no traceback."""
+        log = tmp_path / "bad.jsonl"
+        log.write_text('{"timestamp": 5, "task": 1}\n'
+                       '{"timestamp": NaN, "task": 2}\n'
+                       '{"timestamp": 1, "task": 3}\n', encoding="utf-8")
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        run = subprocess.run(
+            [sys.executable, "-m", "repro", "trace", "run", "--log",
+             str(log), "--iterations", "1", "--tiles", "4"],
+            env=env, capture_output=True, text=True)
+        assert run.returncode == 2
+        assert run.stderr == ("repro-drhw: error: trace line 2: timestamp "
+                              "must be finite, got nan\n")
+        assert "Traceback" not in run.stdout + run.stderr

@@ -1,8 +1,12 @@
 """Tests for the trace format, the mixed-pattern generator and TraceWorkload."""
 
+import json
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.workloads.traces import (
     DEFAULT_TRACE_SUBTASKS,
@@ -57,10 +61,25 @@ class TestParser:
         ('{"timestamp": 1, "task": 1, "size": 2.5}', "size must be"),
         ('{"timestamp": 1, "task": 1, "deps": 3}', "deps must be a list"),
         ('{"timestamp": 1, "task": 1, "tenant": ""}', "non-empty string"),
+        ("[" * 100_000, "not valid JSON"),
+        ('{"timestamp": 1, "task": %s}' % ("7" * 5000), "not valid JSON"),
+        ('{"timestamp": %s, "task": 1}' % ("7" * 5000), "not valid JSON"),
+        ('{"timestamp": 1, "task": "%s"}' % ("7" * 5000),
+         "non-negative integer"),
+        ('{"timestamp": 1, "task": "\u00b2"}', "non-negative integer"),
     ])
     def test_malformed_records_are_rejected(self, line, fragment):
         with pytest.raises(TraceFormatError, match=fragment):
             parse_trace_line(line)
+
+    def test_undecodable_bytes_name_their_line(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b'{"timestamp": 1, "task": 1}\r\n'
+                         b'{"timestamp": 2, "task": 2}\n'
+                         b'{"timestamp": 3, "task": "\xff"}\n')
+        with pytest.raises(TraceFormatError,
+                           match="trace line 3: not UTF-8"):
+            read_trace(path)
 
     def test_errors_carry_line_numbers(self):
         lines = ['{"timestamp": 1, "task": 1}', "garbage"]
@@ -125,9 +144,66 @@ class TestRoundTrip:
         write_trace(records, path)
         assert read_trace(path) == records
 
+    def test_writer_refuses_what_the_parser_refuses(self):
+        for record in (TraceRecord(timestamp=float("nan"), graph_id=1),
+                       TraceRecord(timestamp=1.0, graph_id=-1),
+                       TraceRecord(timestamp=1.0, graph_id=1, deps=(9,))):
+            with pytest.raises(TraceFormatError, match="trace line 1"):
+                format_trace([record])
+
     def test_defaults_are_omitted_from_payload(self):
         payload = TraceRecord(timestamp=1.0, graph_id=2).payload()
         assert payload == {"timestamp": 1.0, "task": 2}
+
+
+#: Record-shaped JSON values: mostly the schema's fields, with values of
+#: every JSON type, so the property reaches the acceptance path too.
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.floats(allow_nan=True, allow_infinity=True)
+                 | st.text(max_size=8))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+_RECORD_LINES = st.builds(json.dumps, st.fixed_dictionaries(
+    {"timestamp": st.sampled_from([0, 1, 2.5]) | _JSON_VALUES,
+     "task": st.integers(0, 3) | st.sampled_from(["2", "\u00b2"])
+     | _JSON_VALUES},
+    optional={"size": st.integers(0, 70) | _JSON_VALUES,
+              "deps": st.lists(st.integers(0, 3), max_size=2) | _JSON_VALUES,
+              "tenant": st.text(max_size=3) | _JSON_VALUES,
+              "x": _JSON_VALUES}))
+_TRACE_LINES = (st.lists(_RECORD_LINES, max_size=3)
+                | st.lists(_RECORD_LINES | st.text(), max_size=6))
+
+
+class TestHostileInput:
+    @settings(max_examples=300)
+    @given(_TRACE_LINES)
+    def test_any_lines_parse_or_raise_trace_format_error(self, lines):
+        try:
+            records = parse_trace(lines)
+        except TraceFormatError:
+            return
+        assert parse_trace(format_trace(records).splitlines()) == records
+
+    @settings(max_examples=150)
+    @given(st.binary(max_size=200)
+           | _TRACE_LINES.map(lambda lines: "\n".join(lines).encode(
+               "utf-8", "surrogatepass")))
+    def test_any_bytes_read_or_raise_trace_format_error(self, data):
+        handle, path = tempfile.mkstemp(suffix=".jsonl")
+        try:
+            with os.fdopen(handle, "wb") as stream:
+                stream.write(data)
+            try:
+                records = read_trace(path)
+            except TraceFormatError:
+                return
+        finally:
+            os.unlink(path)
+        assert parse_trace(format_trace(records).splitlines()) == records
 
 
 class TestGenerator:
