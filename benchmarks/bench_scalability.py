@@ -60,7 +60,7 @@ def representative_problem():
 @pytest.mark.benchmark(group="runtime-cost")
 def test_runtime_list_heuristic_cost(benchmark, representative_problem):
     _, problem = representative_problem
-    scheduler = ListPrefetchScheduler("ideal-start")
+    scheduler = ListPrefetchScheduler()
     result = benchmark(scheduler.schedule, problem)
     assert result.overhead >= 0.0
 
@@ -69,7 +69,7 @@ def test_runtime_list_heuristic_cost(benchmark, representative_problem):
 def test_hybrid_runtime_phase_cost(benchmark, representative_problem):
     placed, _ = representative_problem
     heuristic = HybridPrefetchHeuristic(
-        LATENCY, design_scheduler=ListPrefetchScheduler("ideal-start")
+        LATENCY, design_scheduler=ListPrefetchScheduler()
     )
     entry = heuristic.design_time(placed, "bench")
     decision = benchmark(run_time_phase, entry, ())

@@ -8,7 +8,7 @@ The top-level package re-exports the most frequently used classes; the
 subpackages contain the full API:
 
 * :mod:`repro.graphs`     — subtask graphs, analyses, generators
-* :mod:`repro.platform`   — platform description, tiles, ICN model
+* :mod:`repro.platform`   — platform description, tiles, energy model
 * :mod:`repro.scheduling` — initial schedules and prefetch schedulers
 * :mod:`repro.reuse`      — reuse identification and replacement policies
 * :mod:`repro.core`       — the hybrid design-time/run-time heuristic

@@ -27,14 +27,11 @@ from pathlib import Path
 from typing import Any, Dict, Union
 
 from ..errors import ConfigurationError
-from ..graphs.serialization import graph_from_dict, graph_to_dict
 from ..scheduling.base import PrefetchProblem, PrefetchResult, SchedulerStats
 from ..scheduling.evaluator import replay_schedule
 from ..scheduling.schedule import (
-    PlacedSchedule,
-    PlacedSubtask,
-    ResourceId,
-    ResourceKind,
+    placed_schedule_from_dict,
+    placed_schedule_to_dict,
 )
 from .critical import CriticalSelectionStep, CriticalSubtaskResult
 from .store import DesignTimeEntry, DesignTimeStore
@@ -43,47 +40,6 @@ from .store import DesignTimeEntry, DesignTimeStore
 STORE_FORMAT = "repro-design-store"
 #: Format version (bump on incompatible changes).
 STORE_VERSION = 1
-
-
-# ---------------------------------------------------------------------- #
-# Placed schedules
-# ---------------------------------------------------------------------- #
-def placed_schedule_to_dict(placed: PlacedSchedule) -> Dict[str, Any]:
-    """Convert a placed schedule into a JSON-serializable dictionary."""
-    return {
-        "graph": graph_to_dict(placed.graph),
-        "placements": [
-            {
-                "subtask": placement.name,
-                "resource_kind": placement.resource.kind.value,
-                "resource_index": placement.resource.index,
-                "start": placement.start,
-                "finish": placement.finish,
-            }
-            for placement in placed.placements.values()
-        ],
-    }
-
-
-def placed_schedule_from_dict(payload: Dict[str, Any]) -> PlacedSchedule:
-    """Rebuild a placed schedule from :func:`placed_schedule_to_dict` output."""
-    try:
-        graph = graph_from_dict(payload["graph"])
-        placements = {}
-        for item in payload["placements"]:
-            resource = ResourceId(ResourceKind(item["resource_kind"]),
-                                  int(item["resource_index"]))
-            placements[item["subtask"]] = PlacedSubtask(
-                name=item["subtask"],
-                resource=resource,
-                start=float(item["start"]),
-                finish=float(item["finish"]),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(
-            f"malformed placed-schedule payload: {exc}"
-        ) from exc
-    return PlacedSchedule(graph, placements)
 
 
 # ---------------------------------------------------------------------- #

@@ -147,12 +147,12 @@ def run_engine_ablation(tile_count: int = 8) -> EngineAblationResult:
         placed = build_initial_schedule(graph, platform)
         problem = PrefetchProblem(placed, LATENCY_MS)
         optimal = OptimalPrefetchScheduler().schedule(problem)
-        heuristic = ListPrefetchScheduler("ideal-start").schedule(problem)
+        heuristic = ListPrefetchScheduler().schedule(problem)
         optimal_cs = CriticalSubtaskSelector(
             scheduler=OptimalPrefetchScheduler()
         ).select(placed, LATENCY_MS)
         heuristic_cs = CriticalSubtaskSelector(
-            scheduler=ListPrefetchScheduler("ideal-start")
+            scheduler=ListPrefetchScheduler()
         ).select(placed, LATENCY_MS)
         rows.append(EngineAblationRow(
             graph_name=graph.name,

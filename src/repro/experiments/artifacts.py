@@ -170,11 +170,12 @@ def run_artifact(artifact: Artifact, engine: Optional[SweepEngine] = None,
         (approach.label, approach)
         for approach in map(ApproachSpec.of, approaches))
     pairs = tuple(dict.fromkeys(pairs))
-    xs = tuple(artifact.xs if xs is None else xs)
+    xs = artifact.xs if xs is None else xs
     if artifact.axis == "approach":
         xs = (tile_count,)
     elif artifact.axis == "noise":
-        xs = tuple(dict.fromkeys(map(float, xs)))
+        xs = map(float, xs)
+    xs = tuple(dict.fromkeys(xs))
     if not xs:
         raise ConfigurationError(
             f"an artifact needs at least one {artifact.axis} value")

@@ -94,7 +94,7 @@ def _measure_hide_rate(item) -> HideRateRow:
     graph, platform, reconfiguration_latency = item
     placed = build_initial_schedule(graph, platform)
     problem = PrefetchProblem(placed, reconfiguration_latency)
-    list_result = ListPrefetchScheduler("ideal-start").schedule(problem)
+    list_result = ListPrefetchScheduler().schedule(problem)
     optimal_result = OptimalPrefetchScheduler().schedule(problem)
     return HideRateRow(
         graph_name=graph.name,

@@ -91,7 +91,7 @@ class ScalabilityResult:
 def _measure_scalability(item) -> ScalabilityRow:
     """parallel_map worker: run-time cost measurements for one graph."""
     graph, platform, reconfiguration_latency, repetitions = item
-    heuristic = ListPrefetchScheduler("ideal-start")
+    heuristic = ListPrefetchScheduler()
     hybrid = HybridPrefetchHeuristic(reconfiguration_latency,
                                      design_scheduler=heuristic)
     placed = build_initial_schedule(graph, platform)

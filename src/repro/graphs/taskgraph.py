@@ -2,9 +2,10 @@
 
 A :class:`TaskGraph` is the static description of one *scenario* of a task:
 a directed acyclic graph whose nodes are :class:`~repro.graphs.subtask.Subtask`
-instances and whose edges express precedence (optionally annotated with the
-amount of data communicated between producer and consumer, used by the ICN
-communication model).
+instances and whose edges express precedence, each annotated with the
+amount of data communicated between producer and consumer.  The data size
+is part of the graph format and of every content digest; no timing model
+reads it, because inter-tile communication is free.
 
 The graph keeps one adjacency in plain dicts.  Everything derived from it
 (dense subtask ids, the topological order, the subtask weights) is computed
@@ -101,9 +102,10 @@ class TaskGraph:
         """Add a precedence edge ``producer -> consumer``.
 
         ``data_size`` is the amount of data (in abstract units, e.g. bytes)
-        transferred over the interconnection network; it is only consulted by
-        the optional ICN communication-latency model.  Adding an existing
-        edge again only updates its ``data_size``.
+        transferred over the interconnection network.  It is stored and
+        serialized with the graph, but no timing model reads it:
+        communication between tiles is free.  Adding an existing edge again
+        only updates its ``data_size``.
         """
         for endpoint in (producer, consumer):
             if endpoint not in self._subtasks:

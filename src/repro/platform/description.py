@@ -2,13 +2,14 @@
 
 A :class:`Platform` bundles everything the schedulers and the system
 simulator need to know about the hardware: how many DRHW tiles exist, how
-long one partial reconfiguration takes, how many ISPs are available, the
-ICN latency model and a simple energy model.
+long one partial reconfiguration takes, how many ISPs are available and
+a simple energy model.
 
 The reference platform of the paper is an ICN-enabled Virtex-II FPGA whose
 tiles take 4 ms to reconfigure; coarse-grain arrays with much smaller
 reconfiguration latencies are also discussed, so the latency is a free
-parameter here.
+parameter here.  Inter-tile communication is free, as in the paper's
+evaluation: the platform has no network latency model.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import List
 
 from ..errors import PlatformError
-from .icn import IcnModel, zero_latency_icn
 from .tile import TileState
 
 #: Reconfiguration latency (ms) of one tile of the paper's Virtex-II platform.
@@ -69,8 +69,6 @@ class Platform:
     isp_count:
         Number of embedded instruction-set processors (subtasks mapped to
         ISPs never require reconfiguration).
-    icn:
-        Interconnection-network latency model.
     energy:
         Energy model used by the TCM Pareto bookkeeping.
     name:
@@ -80,7 +78,6 @@ class Platform:
     tile_count: int
     reconfiguration_latency: float = DEFAULT_RECONFIGURATION_LATENCY_MS
     isp_count: int = 1
-    icn: IcnModel = field(default_factory=zero_latency_icn)
     energy: EnergyModel = field(default_factory=EnergyModel)
     name: str = "icn-fpga"
 
@@ -114,12 +111,6 @@ class Platform:
     def new_tile_states(self) -> List[TileState]:
         """Create blank run-time state for every tile."""
         return [TileState(index=i) for i in range(self.tile_count)]
-
-    def communication_latency(self, source_tile: int, destination_tile: int,
-                              data_size: float = 0.0) -> float:
-        """Inter-tile message latency under the platform's ICN model."""
-        return self.icn.message_latency(source_tile, destination_tile,
-                                        self.tile_count, data_size)
 
 
 def virtex2_platform(tile_count: int = 8, isp_count: int = 1) -> Platform:

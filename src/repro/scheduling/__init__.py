@@ -7,11 +7,7 @@ from .base import (
     SchedulerStats,
 )
 from .evaluator import needed_loads, replay_schedule
-from .list_scheduler import (
-    ListScheduler,
-    ListSchedulerOptions,
-    build_initial_schedule,
-)
+from .list_scheduler import ListScheduler, build_initial_schedule
 from .noprefetch import OnDemandScheduler
 from .pool import SchedulerPool, process_scheduler_pool
 from .prefetch_bb import (
@@ -19,7 +15,7 @@ from .prefetch_bb import (
     DEFAULT_EXACT_LIMIT,
     OptimalPrefetchScheduler,
 )
-from .prefetch_list import ListPrefetchScheduler, PRIORITY_METRICS
+from .prefetch_list import ListPrefetchScheduler
 from .replay import ReplayState, priority_rank
 from .ttstore import TTSTORE_FORMAT_VERSION, TableContext, TranspositionStore
 from .schedule import (
@@ -42,11 +38,9 @@ __all__ = [
     "ExecutionEntry",
     "ListPrefetchScheduler",
     "ListScheduler",
-    "ListSchedulerOptions",
     "LoadEntry",
     "OnDemandScheduler",
     "OptimalPrefetchScheduler",
-    "PRIORITY_METRICS",
     "PlacedSchedule",
     "PlacedSubtask",
     "PrefetchProblem",

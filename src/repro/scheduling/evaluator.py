@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from .replay import CommunicationFn, ReplayState
+from .replay import ReplayState
 from .schedule import PlacedSchedule, TimedSchedule
 
 
@@ -48,8 +48,7 @@ def replay_schedule(placed: PlacedSchedule,
                     *,
                     on_demand: bool = False,
                     release_time: float = 0.0,
-                    controller_available: Optional[float] = None,
-                    communication: Optional[CommunicationFn] = None
+                    controller_available: Optional[float] = None
                     ) -> TimedSchedule:
     """Replay ``placed`` accounting for the configuration loads.
 
@@ -80,9 +79,6 @@ def replay_schedule(placed: PlacedSchedule,
         Absolute time from which the reconfiguration port is available
         (e.g. because it is still finishing loads of the previous task).
         Defaults to ``release_time``.
-    communication:
-        Optional callback adding inter-resource communication latency
-        between a producer finishing and a consumer becoming ready.
     """
     state = ReplayState.start(
         placed,
@@ -91,7 +87,6 @@ def replay_schedule(placed: PlacedSchedule,
         on_demand=on_demand,
         release_time=release_time,
         controller_available=controller_available,
-        communication=communication,
     )
     return state.run_order(priority_order).finish()
 

@@ -7,13 +7,19 @@ list scheduler that maps a task graph onto a bounded number of DRHW tiles
 and ISPs, minimizing the makespan while ignoring loads entirely.
 
 The scheduler is deterministic: ready subtasks are ordered by decreasing
-weight (longest remaining path), ties are broken by graph insertion order,
-and resources by index.
+weight (longest remaining path), ties are broken by graph insertion order.
+Each subtask goes to the resource giving the earliest start; among equal
+starts it spreads, preferring the least recently used resource, then the
+lowest index.  On a tile pool larger than the task this gives every
+subtask its own tile, which maximizes the reuse opportunities the paper's
+replacement module exploits.  Communication between tiles is free, as in
+the paper's evaluation, so every schedule it builds is eager: no subtask
+could start before its placed start, which the replay kernel's floors
+rely on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import SchedulingError
@@ -26,42 +32,16 @@ from .schedule import (
     PlacedSchedule,
     PlacedSubtask,
     ResourceId,
-    ResourceKind,
     isp_resource,
     tile_resource,
 )
 
 
-@dataclass(frozen=True)
-class ListSchedulerOptions:
-    """Tuning knobs of the initial list scheduler.
-
-    Parameters
-    ----------
-    respect_communication:
-        When true, inter-tile edges add the platform's ICN latency between a
-        producer finishing and a consumer starting on a different resource.
-        The paper's evaluation uses free communication, so this defaults to
-        ``False``.
-    prefer_spreading:
-        When true (the default) the scheduler assigns each subtask to the
-        free resource with the lowest index among those giving the earliest
-        start, which spreads subtasks over as many tiles as possible.  This
-        mirrors the ICN platform usage in the paper, where using more tiles
-        increases the chance of reusing configurations across iterations.
-    """
-
-    respect_communication: bool = False
-    prefer_spreading: bool = True
-
-
 class ListScheduler:
     """Critical-path list scheduler for the initial (ideal) schedule."""
 
-    def __init__(self, platform: Platform,
-                 options: Optional[ListSchedulerOptions] = None) -> None:
+    def __init__(self, platform: Platform) -> None:
         self.platform = platform
-        self.options = options or ListSchedulerOptions()
 
     def schedule(self, graph: TaskGraph) -> PlacedSchedule:
         """Map ``graph`` onto the platform, ignoring reconfiguration.
@@ -85,9 +65,6 @@ class ListScheduler:
         tiles = [tile_resource(i) for i in range(self.platform.tile_count)]
         isps = [isp_resource(i) for i in range(self.platform.isp_count)]
         resource_free: Dict[ResourceId, float] = {r: 0.0 for r in tiles + isps}
-        resource_last: Dict[ResourceId, Optional[str]] = {
-            r: None for r in resource_free
-        }
 
         finish: Dict[str, float] = {}
         placements: Dict[str, PlacedSubtask] = {}
@@ -110,11 +87,10 @@ class ListScheduler:
             candidates = (tiles if subtask.resource is ResourceClass.DRHW
                           else isps)
             placement = self._place(graph, name, candidates, resource_free,
-                                    placements, finish)
+                                    finish)
             placements[name] = placement
             finish[name] = placement.finish
             resource_free[placement.resource] = placement.finish
-            resource_last[placement.resource] = name
             scheduled_count += 1
             for successor in graph.successors(name):
                 remaining_predecessors[successor] -= 1
@@ -127,42 +103,21 @@ class ListScheduler:
     def _place(self, graph: TaskGraph, name: str,
                candidates: List[ResourceId],
                resource_free: Dict[ResourceId, float],
-               placements: Dict[str, PlacedSubtask],
                finish: Dict[str, float]) -> PlacedSubtask:
         """Choose the resource giving the earliest start time for ``name``."""
         subtask = graph.subtask(name)
+        ready_time = max((finish[predecessor]
+                          for predecessor in graph.predecessors(name)),
+                         default=0.0)
         best: Optional[PlacedSubtask] = None
         best_key = None
         for resource in candidates:
-            ready_time = 0.0
-            for predecessor in graph.predecessors(name):
-                predecessor_finish = finish[predecessor]
-                if self.options.respect_communication:
-                    predecessor_resource = placements[predecessor].resource
-                    if (predecessor_resource != resource
-                            and predecessor_resource.is_tile
-                            and resource.is_tile):
-                        predecessor_finish += self.platform.communication_latency(
-                            predecessor_resource.index, resource.index,
-                            graph.data_size(predecessor, name),
-                        )
-                ready_time = max(ready_time, predecessor_finish)
             start = max(ready_time, resource_free[resource])
-            candidate = PlacedSubtask(name=name, resource=resource, start=start,
-                                      finish=start + subtask.execution_time)
-            if self.options.prefer_spreading:
-                # Spreading mode (default): among resources giving the same
-                # earliest start, prefer the least-recently-used one.  On a
-                # tile pool larger than the task this gives every subtask its
-                # own tile, which maximizes the reuse opportunities the
-                # paper's replacement module exploits.
-                key = (candidate.start, resource_free[resource], resource.index)
-            else:
-                # Packing mode: among equal starts prefer the busiest
-                # resource, concentrating work on as few tiles as possible.
-                key = (candidate.start, -resource_free[resource], resource.index)
+            # Among equal starts, the least recently used resource.
+            key = (start, resource_free[resource], resource.index)
             if best is None or key < best_key:
-                best = candidate
+                best = PlacedSubtask(name=name, resource=resource, start=start,
+                                     finish=start + subtask.execution_time)
                 best_key = key
         if best is None:
             raise SchedulingError(
@@ -172,8 +127,7 @@ class ListScheduler:
         return best
 
 
-def build_initial_schedule(graph: TaskGraph, platform: Platform,
-                           options: Optional[ListSchedulerOptions] = None
+def build_initial_schedule(graph: TaskGraph, platform: Platform
                            ) -> PlacedSchedule:
     """Convenience wrapper: schedule ``graph`` on ``platform`` ignoring loads."""
-    return ListScheduler(platform, options).schedule(graph)
+    return ListScheduler(platform).schedule(graph)

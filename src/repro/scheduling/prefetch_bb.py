@@ -377,7 +377,7 @@ class BranchAndBoundScheduler(PrefetchScheduler):
             )
         self._reset_counters()
 
-        seed = ListPrefetchScheduler("ideal-start").load_order(problem)
+        seed = ListPrefetchScheduler().load_order(problem)
         best_timed = self._evaluate(problem, seed)
         best_order: Tuple[str, ...] = seed
 
@@ -700,7 +700,7 @@ class OptimalPrefetchScheduler(PrefetchScheduler):
         if exact_limit < 0:
             raise SchedulingError("exact_limit must be non-negative")
         self.exact_limit = exact_limit
-        self.fallback = fallback or ListPrefetchScheduler("ideal-start")
+        self.fallback = fallback or ListPrefetchScheduler()
         self.table_limit = table_limit
         self.pool = pool
         self._exact = BranchAndBoundScheduler(table_limit=table_limit)

@@ -7,14 +7,12 @@ scheduling: loads are ordered by a priority metric and issued greedily on
 the single reconfiguration port as soon as their target tile becomes
 reconfigurable.
 
-Two priority metrics are provided:
-
-* ``"ideal-start"`` (default) — loads are ordered by the time their subtask
-  is needed in the ideal schedule (earliest-needed-first).  This is the
-  natural list-scheduling order for a single reconfiguration port.
-* ``"weight"`` — loads are ordered by decreasing subtask weight (longest
-  path from the subtask to the end of the graph), the metric the paper uses
-  for the critical-subtask selection and the initialization phase.
+Loads are ordered by the time their subtask is needed in the ideal
+schedule (earliest-needed-first), simultaneous needs broken towards the
+heavier subtask (longest path from the subtask to the end of the graph,
+the metric the paper uses for the critical-subtask selection and the
+initialization phase).  This is the natural list-scheduling order for a
+single reconfiguration port.
 
 The dominant cost is the sort of the loads, i.e. ``O(N log N)`` in the
 number of loads — matching the complexity the paper reports for ref. [7].
@@ -23,43 +21,28 @@ number of loads — matching the complexity the paper reports for ref. [7].
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
-from ..errors import SchedulingError
 from .base import PrefetchProblem, PrefetchResult, PrefetchScheduler, SchedulerStats
 from .evaluator import replay_schedule
 
-#: Priority metrics understood by :class:`ListPrefetchScheduler`.
-PRIORITY_METRICS = ("ideal-start", "weight")
-
 
 class ListPrefetchScheduler(PrefetchScheduler):
-    """List-scheduling prefetch heuristic with a configurable priority metric."""
+    """List-scheduling prefetch heuristic: earliest-needed load first."""
 
     name = "run-time-list"
 
-    def __init__(self, priority: str = "ideal-start") -> None:
-        if priority not in PRIORITY_METRICS:
-            raise SchedulingError(
-                f"unknown priority metric {priority!r}; expected one of "
-                f"{PRIORITY_METRICS}"
-            )
-        self.priority = priority
-
     def load_order(self, problem: PrefetchProblem) -> Tuple[str, ...]:
-        """Compute the priority order of the loads for ``problem``.
+        """The priority order of the loads for ``problem``.
 
-        ``"weight"`` sorts by ``(-weight, ideal start, name)``; the default
-        is earliest-needed-first, simultaneous needs broken towards the
+        Earliest-needed-first, simultaneous needs broken towards the
         heavier (more critical) subtask, as in the paper: ``(ideal start,
-        -weight, name)``.  Both orders are the schedule's static ones,
-        filtered by ``problem.reused``.
+        -weight, name)``.  It is the schedule's static order, filtered by
+        ``problem.reused``.
         """
-        core = problem.placed.core
-        order = (core.by_weight if self.priority == "weight"
-                 else core.by_start_weight)
         reused = problem.reused
-        return tuple(name for name in order if name not in reused)
+        return tuple(name for name in problem.placed.core.by_start_weight
+                     if name not in reused)
 
     def schedule(self, problem: PrefetchProblem) -> PrefetchResult:
         order = self.load_order(problem)

@@ -60,7 +60,8 @@ tile's free time and frontier index.  One loop executes a batch:
 :meth:`ReplayState._advance` collects the resources whose next subtask
 may run and executes each inline (start time, binding constraint,
 successor counts, makespan and floor), with no method call per
-execution; a communication callback is a branch inside that loop.  Entry
+execution.  Inter-tile communication is free, so a subtask is ready when
+its predecessors have finished.  Entry
 objects (:class:`~repro.scheduling.schedule.ExecutionEntry`/``LoadEntry``)
 are built on first read of the returned schedule — never on the search
 path, and never on the simulator's per-task path, which reads the
@@ -85,7 +86,9 @@ Invariants the kernel maintains (and that its users rely on):
   the *actual* port-free time and realized finish times.  Like the
   classic ``release + placed.makespan`` floor this assumes the placed
   schedule is eager (no subtask could start earlier than its ideal
-  start), which holds for every schedule the list scheduler builds.
+  start), which holds for every schedule the list scheduler builds:
+  replayed without loads, it reproduces every placement exactly
+  (property-tested in ``tests/scheduling/test_scheduling_properties.py``).
 * **Exact undo** — :meth:`pop` restores, bit for bit, the state that
   existed before the matching :meth:`push`: the undo frame records the
   previous controller time, floor, realized makespan and the length of
@@ -172,7 +175,7 @@ from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import InfeasibleScheduleError, SchedulingError
 from .schedule import (
@@ -183,10 +186,6 @@ from .schedule import (
     TIME_EPSILON,
     TimedSchedule,
 )
-
-#: Signature of an optional communication-latency callback:
-#: ``(producer, consumer, producer_resource, consumer_resource) -> latency``.
-CommunicationFn = Callable[[str, str, ResourceId, ResourceId], float]
 
 _NEG_INF = float("-inf")
 
@@ -205,15 +204,15 @@ class _ReplayCore:
     ``reuse_tiles`` (each used tile, its first subtask and that subtask's
     configuration, by decreasing weight of the first subtask, ties by tile
     index) and ``drhw_tiles`` (``(name, tile)`` per DRHW subtask); the
-    DRHW load orders ``by_start`` ``(ideal start, name)``,
-    ``by_start_weight`` ``(ideal start, -weight, name)`` and ``by_weight``
-    ``(-weight, ideal start, name)``, filtered by ``reused`` per call
-    (exact: every key ends in the unique name), and ``start_ids`` (every
-    id by ideal start, then name); per tile, ``tile_runs`` (its
-    ``(id, subtask, configuration)`` run) and ``tile_last`` (its last
-    id); ``sorted_names`` and ``sorted_ids`` (every id in name order),
-    ``total_execution_time``, ``configurations``; and ``requests``, the
-    inter-task request tuples :mod:`repro.sim.approaches` builds once.
+    DRHW load orders ``by_start`` ``(ideal start, name)`` and
+    ``by_start_weight`` ``(ideal start, -weight, name)``, filtered by
+    ``reused`` per call (exact: every key ends in the unique name), and
+    ``start_ids`` (every id by ideal start, then name); per tile,
+    ``tile_runs`` (its ``(id, subtask, configuration)`` run) and
+    ``tile_last`` (its last id); ``sorted_names`` and ``sorted_ids``
+    (every id in name order), ``total_execution_time``,
+    ``configurations``; and ``requests``, the inter-task request tuples
+    :mod:`repro.sim.approaches` builds once.
 
     The core deliberately does **not** reference the placed schedule it
     was derived from: it is the value of digest-keyed cache entries, and
@@ -227,7 +226,7 @@ class _ReplayCore:
         "resources", "sequences", "seq_len", "preds", "succs", "pred_count",
         "exec_time", "ideal_start", "position", "resource_of",
         "configuration", "drhw_mask", "reuse_tiles",
-        "drhw_tiles", "by_start", "by_start_weight", "by_weight",
+        "drhw_tiles", "by_start", "by_start_weight",
         "start_ids", "tile_runs", "tile_last", "sorted_names", "sorted_ids",
         "total_execution_time", "configurations", "requests",
     )
@@ -285,8 +284,6 @@ class _ReplayCore:
         self.by_start = tuple(names[sid] for sid in drhw)
         self.by_start_weight = tuple(names[sid] for sid in sorted(
             drhw, key=lambda sid: (ideal[sid], -weight[sid], rank[sid])))
-        self.by_weight = tuple(names[sid] for sid in sorted(
-            drhw, key=lambda sid: (-weight[sid], ideal[sid], rank[sid])))
         self.drhw_tiles = tuple(
             (names[sid], self.resources[resource_col[sid]])
             for sid in range(self.total) if (mask >> sid) & 1)
@@ -414,7 +411,7 @@ class ReplayState:
 
     __slots__ = (
         "_core", "_placed", "latency", "on_demand", "release",
-        "communication", "_weights", "_w", "_tails",
+        "_weights", "_w", "_tails",
         "controller_time", "pending_mask", "_exec_time",
         "_done", "_constraint", "_starts", "_finishes", "_pred_left",
         "_loaded", "_load_finish", "_next_index", "_resource_free",
@@ -433,7 +430,6 @@ class ReplayState:
               on_demand: bool = False,
               release_time: float = 0.0,
               controller_available: Optional[float] = None,
-              communication: Optional[CommunicationFn] = None,
               weights: Optional[Mapping[str, float]] = None,
               durations: Optional[Sequence[float]] = None
               ) -> "ReplayState":
@@ -467,7 +463,6 @@ class ReplayState:
         state.latency = reconfiguration_latency
         state.on_demand = on_demand
         state.release = release_time
-        state.communication = communication
         state._weights = dict(weights) if weights is not None else None
         if state._weights is not None:
             weight_col = [0.0] * total
@@ -519,7 +514,6 @@ class ReplayState:
         child.latency = self.latency
         child.on_demand = self.on_demand
         child.release = self.release
-        child.communication = self.communication
         child._weights = self._weights
         child._w = self._w
         child._tails = self._tails
@@ -612,28 +606,13 @@ class ReplayState:
     # ------------------------------------------------------------------ #
     # Dispatch mechanics (mirrors the monolithic replay loop exactly)
     # ------------------------------------------------------------------ #
-    def _predecessor_ready_time(self, sid: int, rid: int) -> float:
+    def _predecessor_ready_time(self, sid: int) -> float:
         ready = self.release
         finishes = self._finishes
-        communication = self.communication
-        if communication is None:
-            for pid in self._core.preds[sid]:
-                finish = finishes[pid]
-                if finish > ready:
-                    ready = finish
-        else:
-            core = self._core
-            names = core.names
-            resources = core.resources
-            consumer = names[sid]
-            consumer_resource = resources[rid]
-            for pid in core.preds[sid]:
-                finish = finishes[pid] + communication(
-                    names[pid], consumer,
-                    resources[core.resource_of[pid]], consumer_resource,
-                )
-                if finish > ready:
-                    ready = finish
+        for pid in self._core.preds[sid]:
+            finish = finishes[pid]
+            if finish > ready:
+                ready = finish
         return ready
 
     def _advance(self) -> None:
@@ -652,7 +631,7 @@ class ReplayState:
         constraint, done = self._constraint, self._done
         loaded, load_finish = self._loaded, self._load_finish
         exec_order, prev_free = self._exec_order, self._prev_free
-        tails, communication = self._tails, self.communication
+        tails = self._tails
         release, realized, floor = self.release, self._realized, self._floor
         resource_range = range(len(sequences))
         pending = self.pending_mask
@@ -672,14 +651,11 @@ class ReplayState:
             if batch is None:
                 break
             for sid, rid in batch:
-                if communication is None:
-                    ready = release
-                    for pid in preds[sid]:
-                        finish = finishes[pid]
-                        if finish > ready:
-                            ready = finish
-                else:
-                    ready = self._predecessor_ready_time(sid, rid)
+                ready = release
+                for pid in preds[sid]:
+                    finish = finishes[pid]
+                    if finish > ready:
+                        ready = finish
                 free = resource_free[rid]
                 start = release
                 if ready > start:
@@ -766,7 +742,7 @@ class ReplayState:
             if on_demand:
                 if pred_left[head]:
                     continue
-                ready = self._predecessor_ready_time(head, rid)
+                ready = self._predecessor_ready_time(head)
                 if ready > enable:
                     enable = ready
             found.append((head, enable))
@@ -872,7 +848,7 @@ class ReplayState:
                     and not (on_demand and self._pred_left[sid])):
                 enable = self._resource_free[rid]
                 if on_demand:
-                    ready = self._predecessor_ready_time(sid, rid)
+                    ready = self._predecessor_ready_time(sid)
                     if ready > enable:
                         enable = ready
                 self._issue(sid, enable, spans)

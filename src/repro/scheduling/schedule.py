@@ -14,15 +14,21 @@ Two kinds of schedules appear throughout the library:
   reconfiguration port.  It records when every load and every execution
   actually happened, which subtasks were delayed by their own load, and the
   resulting makespan/overhead.
+
+:func:`placed_schedule_to_dict` and :func:`placed_schedule_from_dict` are
+the one JSON form of a placed schedule: the exploration cache and the
+design-store files write it, and the transposition store hashes it with
+the placements sorted by subtask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from ..errors import SchedulingError, UnknownSubtaskError
+from ..errors import ConfigurationError, SchedulingError, UnknownSubtaskError
+from ..graphs.serialization import graph_from_dict, graph_to_dict
 from ..graphs.subtask import ResourceClass
 from ..graphs.taskgraph import TaskGraph
 
@@ -538,3 +544,44 @@ class TimedSchedule:
                          entry.start, entry.finish))
         rows.sort(key=lambda row: (row[0], row[2]))
         return rows
+
+
+# ---------------------------------------------------------------------- #
+# Placed-schedule (de)serialization
+# ---------------------------------------------------------------------- #
+def placed_schedule_to_dict(placed: PlacedSchedule) -> Dict[str, Any]:
+    """Convert a placed schedule into a JSON-serializable dictionary."""
+    return {
+        "graph": graph_to_dict(placed.graph),
+        "placements": [
+            {
+                "subtask": placement.name,
+                "resource_kind": placement.resource.kind.value,
+                "resource_index": placement.resource.index,
+                "start": placement.start,
+                "finish": placement.finish,
+            }
+            for placement in placed.placements.values()
+        ],
+    }
+
+
+def placed_schedule_from_dict(payload: Dict[str, Any]) -> PlacedSchedule:
+    """Rebuild a placed schedule from :func:`placed_schedule_to_dict` output."""
+    try:
+        graph = graph_from_dict(payload["graph"])
+        placements = {}
+        for item in payload["placements"]:
+            resource = ResourceId(ResourceKind(item["resource_kind"]),
+                                  int(item["resource_index"]))
+            placements[item["subtask"]] = PlacedSubtask(
+                name=item["subtask"],
+                resource=resource,
+                start=float(item["start"]),
+                finish=float(item["finish"]),
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"malformed placed-schedule payload: {exc}"
+        ) from exc
+    return PlacedSchedule(graph, placements)

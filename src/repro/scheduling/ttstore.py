@@ -75,7 +75,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from collections import OrderedDict
 
-from ..graphs.serialization import graph_to_dict
 from ..jsonio import dumps_canonical, loads
 from ..storage import (
     TEMP_PATTERN,
@@ -84,7 +83,7 @@ from ..storage import (
     backend_root,
     list_entries,
 )
-from .schedule import PlacedSchedule, TIME_EPSILON
+from .schedule import PlacedSchedule, TIME_EPSILON, placed_schedule_to_dict
 
 #: Bump when the on-disk representation of a table (or the semantics of
 #: the entries, e.g. the signature layout in
@@ -126,20 +125,9 @@ def placed_payload(placed: PlacedSchedule) -> Dict[str, object]:
     perturb the digest).  Identical content means an identical replay
     core, which is what makes signatures comparable across processes.
     """
-    return {
-        "graph": graph_to_dict(placed.graph),
-        "placements": [
-            {
-                "subtask": placement.name,
-                "resource_kind": placement.resource.kind.value,
-                "resource_index": placement.resource.index,
-                "start": placement.start,
-                "finish": placement.finish,
-            }
-            for placement in sorted(placed.placements.values(),
-                                    key=lambda item: item.name)
-        ],
-    }
+    payload = placed_schedule_to_dict(placed)
+    payload["placements"].sort(key=lambda item: item["subtask"])
+    return payload
 
 
 # --------------------------------------------------------------------- #

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
                     Tuple)
 
@@ -466,7 +466,8 @@ class DesignTimePrefetchApproach(SchedulingApproach):
             placed=placed,
             # Frozen design-time decisions never exploit resident
             # configurations: the reuse analysis only binds the tiles.
-            decision=replace(decision, reused=frozenset()),
+            decision=ReuseDecision(decision.tile_binding, frozenset(),
+                                   decision.operations, decision.drhw_tiles),
             reused=prefetched,
             timed=timed,
         )
@@ -657,13 +658,12 @@ class HybridApproach(SchedulingApproach):
 
     def prepare(self, design_result: TcmDesignTimeResult,
                 reconfiguration_latency: float) -> None:
-        self._heuristic = HybridPrefetchHeuristic(
-            reconfiguration_latency,
-            scheduler_pool=(self.scheduler_pool
-                            if self.scheduler_pool is not None
-                            else design_result.scheduler_pool),
-        )
-        self._store = design_result.build_design_store(self._heuristic)
+        pool = (self.scheduler_pool if self.scheduler_pool is not None
+                else design_result.scheduler_pool)
+        self._heuristic = HybridPrefetchHeuristic(reconfiguration_latency,
+                                                  scheduler_pool=pool)
+        self._store = design_result.build_design_store(reconfiguration_latency,
+                                                       pool)
         # Critical configurations of *any* task are the expensive ones to
         # lose: keeping them resident is what the weight-aware replacement
         # of refs. [6, 7] is after, so they are flagged to the replacement

@@ -21,7 +21,6 @@ from ..errors import ConfigurationError
 from ..platform.description import Platform
 from ..reuse.replacement import ReplacementPolicy
 from ..reuse.reuse import ReuseModule
-from ..scheduling.list_scheduler import ListSchedulerOptions
 from ..tcm.design_time import TcmDesignTimeResult, TcmDesignTimeScheduler
 from ..tcm.run_time import RunTimeSelection, ScheduledTask, TcmRunTimeScheduler
 from ..workloads.base import Workload
@@ -135,7 +134,6 @@ class SystemSimulator:
                  approach: SchedulingApproach,
                  config: Optional[SimulationConfig] = None,
                  replacement: Optional[ReplacementPolicy] = None,
-                 list_options: Optional[ListSchedulerOptions] = None,
                  design_result: Optional[TcmDesignTimeResult] = None) -> None:
         self.workload = workload
         self.platform = platform
@@ -144,7 +142,6 @@ class SystemSimulator:
         self.reuse_module = ReuseModule(replacement=replacement)
         self._design_result: Optional[TcmDesignTimeResult] = None
         self._tcm_runtime: Optional[TcmRunTimeScheduler] = None
-        self._list_options = list_options or ListSchedulerOptions()
         # A precomputed exploration (e.g. shared by the sweep engine across
         # every approach at the same platform).  The exploration itself is
         # deterministic, so sharing one result is observably identical to
@@ -159,10 +156,8 @@ class SystemSimulator:
             if self._shared_design is not None:
                 result = self._shared_design
             else:
-                explorer = TcmDesignTimeScheduler(
-                    self.platform, list_options=self._list_options
-                )
-                result = explorer.explore(self.workload.task_set)
+                result = TcmDesignTimeScheduler(self.platform).explore(
+                    self.workload.task_set)
             self._design_result = result
             self._tcm_runtime = TcmRunTimeScheduler(result)
             self.approach.prepare(result,

@@ -18,22 +18,22 @@ the TCM run-time scheduler selects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.hybrid import HybridPrefetchHeuristic
-from ..core.serialization import (
-    placed_schedule_from_dict,
-    placed_schedule_to_dict,
-)
 from ..core.store import DesignTimeStore
 from ..errors import ConfigurationError
 from ..graphs.analysis import max_parallelism
 from ..platform.description import Platform
-from ..scheduling.list_scheduler import ListScheduler, ListSchedulerOptions
+from ..scheduling.list_scheduler import ListScheduler
 from ..scheduling.pool import SchedulerPool
-from ..scheduling.schedule import PlacedSchedule
+from ..scheduling.schedule import (
+    PlacedSchedule,
+    placed_schedule_from_dict,
+    placed_schedule_to_dict,
+)
 from .pareto import ParetoCurve, ParetoPoint
-from .scenario import DynamicTask, Scenario, TaskSet
+from .scenario import Scenario, TaskSet
 
 #: Key of a Pareto curve: (task name, scenario name).
 CurveKey = Tuple[str, str]
@@ -44,71 +44,16 @@ def point_key_for_tiles(tile_count: int) -> str:
     return f"tiles{tile_count}"
 
 
-def _scheduler_signature(scheduler) -> Optional[Tuple]:
-    """A hashable description of a prefetch scheduler's configuration.
-
-    Used to memoize design-store builds: two heuristics whose engines have
-    the same signature produce identical stores.  Exact instances of the
-    known scheduler types keep their historical compact signatures.  Any
-    other :class:`~repro.scheduling.base.PrefetchScheduler` — including
-    *subclasses* of the known types, which the former ``type(...) is``
-    checks silently rejected, disabling memoization — falls back to a
-    conservative signature built from the class identity plus every public
-    scalar (and nested-scheduler) attribute, on the standing assumption
-    that schedulers are deterministic functions of their type and public
-    configuration.  A scheduler carrying public state this description
-    cannot capture (a non-scalar attribute) still returns ``None``, but
-    the miss is now *observable*: callers count it (see
-    ``TcmDesignTimeResult.store_cache_uncached``) instead of silently
-    rebuilding the store forever.  A :class:`~repro.scheduling.pool
-    .SchedulerPool` attribute is deliberately skipped — warm tables change
-    how fast the engine searches, never which schedule it returns.
-    """
-    from ..scheduling.base import PrefetchScheduler
-    from ..scheduling.pool import SchedulerPool
-    from ..scheduling.prefetch_bb import OptimalPrefetchScheduler
-    from ..scheduling.prefetch_list import ListPrefetchScheduler
-
-    if type(scheduler) is ListPrefetchScheduler:
-        return ("list", scheduler.priority)
-    if type(scheduler) is OptimalPrefetchScheduler:
-        fallback = _scheduler_signature(scheduler.fallback)
-        if fallback is None:
-            return None
-        return ("optimal", scheduler.exact_limit, fallback)
-    if not isinstance(scheduler, PrefetchScheduler):
-        return None
-    config: List[Tuple[str, object]] = []
-    for key in sorted(vars(scheduler)):
-        if key.startswith("_"):
-            continue  # private attributes: counters, caches, scratch state
-        value = vars(scheduler)[key]
-        if isinstance(value, SchedulerPool) or key in ("pool",
-                                                       "scheduler_pool"):
-            continue  # warm pools (bound or not) are perf-only
-        if isinstance(value, (str, int, float, bool, type(None))):
-            config.append((key, value))
-        elif isinstance(value, PrefetchScheduler):
-            nested = _scheduler_signature(value)
-            if nested is None:
-                return None
-            config.append((key, nested))
-        else:
-            return None
-    return ("scheduler", type(scheduler).__module__,
-            type(scheduler).__qualname__, tuple(config))
-
-
 @dataclass
 class TcmDesignTimeResult:
     """Output of the TCM design-time exploration for a whole application."""
 
     platform: Platform
     curves: Dict[CurveKey, ParetoCurve] = field(default_factory=dict)
-    #: Memoized design stores keyed by the hybrid heuristic's signature
-    #: (latency + design engine).  Excluded from comparisons/repr: it is a
-    #: pure cache over the immutable curves above.
-    _store_cache: Dict[Tuple, DesignTimeStore] = field(
+    #: Memoized design stores keyed by reconfiguration latency.  Excluded
+    #: from comparisons/repr: it is a pure cache over the immutable curves
+    #: above.
+    _store_cache: Dict[float, DesignTimeStore] = field(
         default_factory=dict, repr=False, compare=False
     )
     #: Warm-engine pool shared by every design-store build over this
@@ -122,12 +67,10 @@ class TcmDesignTimeResult:
     scheduler_pool: SchedulerPool = field(
         default_factory=SchedulerPool, repr=False, compare=False
     )
-    #: Observability of the design-store memoization (see
-    #: :func:`_scheduler_signature`): how many ``build_design_store`` calls
-    #: hit the cache, missed it, or could not be cached at all.
+    #: Observability of the design-store memoization: how many
+    #: ``build_design_store`` calls hit the cache or missed it.
     store_cache_hits: int = field(default=0, repr=False, compare=False)
     store_cache_misses: int = field(default=0, repr=False, compare=False)
-    store_cache_uncached: int = field(default=0, repr=False, compare=False)
 
     def curve(self, task_name: str, scenario_name: str) -> ParetoCurve:
         """Pareto curve of one scenario."""
@@ -167,33 +110,36 @@ class TcmDesignTimeResult:
                                point.placed))
         return result
 
-    def build_design_store(self, hybrid: HybridPrefetchHeuristic
+    def build_design_store(self, reconfiguration_latency: float,
+                           scheduler_pool: Optional[SchedulerPool] = None
                            ) -> DesignTimeStore:
         """Run the hybrid design-time phase for every Pareto point.
 
-        The store only depends on the (immutable) explored schedules and
-        the heuristic's configuration, so repeated builds with equivalent
-        heuristics — e.g. every hybrid sweep point in one engine group, or
-        every test sharing a session exploration — return one memoized
-        store instead of re-running the critical-subtask selection.
+        The design engine is always the paper's (the exact search with a
+        list-scheduling fallback), so the store only depends on the
+        (immutable) explored schedules and the latency: repeated builds
+        at one latency — e.g. every hybrid sweep point in one engine
+        group, or every test sharing a session exploration — return one
+        memoized store instead of re-running the critical-subtask
+        selection.
 
-        Warm tables make even the *misses* cheap: a heuristic whose design
-        engine is pooled (the default) keeps the transposition suffixes of
-        one placed schedule's ``with_reused`` variants across the whole
-        critical-selection loop, and heuristics sharing this result's
-        :attr:`scheduler_pool` extend that across builds.
+        Warm tables make even the *misses* cheap: the engine routes its
+        searches through ``scheduler_pool`` (default: this result's
+        :attr:`scheduler_pool`), which keeps the transposition suffixes
+        of one placed schedule's ``with_reused`` variants across the
+        whole critical-selection loop and across builds.  Warm tables
+        change how fast the engine searches, never which schedule it
+        returns, so the pool is not part of the memo key.
         """
-        engine_signature = _scheduler_signature(hybrid.design_scheduler)
-        if engine_signature is None:
-            # Unknown engine state: build uncached, but observably so.
-            self.store_cache_uncached += 1
-            return hybrid.build_store(self.schedules())
-        key = (hybrid.reconfiguration_latency, engine_signature)
-        store = self._store_cache.get(key)
+        store = self._store_cache.get(reconfiguration_latency)
         if store is None:
             self.store_cache_misses += 1
+            hybrid = HybridPrefetchHeuristic(
+                reconfiguration_latency,
+                scheduler_pool=(self.scheduler_pool if scheduler_pool is None
+                                else scheduler_pool))
             store = hybrid.build_store(self.schedules())
-            self._store_cache[key] = store
+            self._store_cache[reconfiguration_latency] = store
         else:
             self.store_cache_hits += 1
         return store
@@ -263,54 +209,30 @@ def exploration_from_dict(payload: Dict[str, Any],
 class TcmDesignTimeScheduler:
     """Generates Pareto curves by sweeping the tile budget of each scenario."""
 
-    def __init__(self, platform: Platform,
-                 tile_budgets: Optional[Sequence[int]] = None,
-                 list_options: Optional[ListSchedulerOptions] = None,
-                 include_full_pool: bool = True) -> None:
+    def __init__(self, platform: Platform) -> None:
         self.platform = platform
-        self.include_full_pool = include_full_pool
-        if tile_budgets is not None:
-            budgets = sorted(set(tile_budgets))
-            if not budgets or budgets[0] < 1:
-                raise ConfigurationError(
-                    "tile budgets must be positive integers"
-                )
-            if budgets[-1] > platform.tile_count:
-                raise ConfigurationError(
-                    f"tile budget {budgets[-1]} exceeds the platform's "
-                    f"{platform.tile_count} tiles"
-                )
-            self.tile_budgets: Tuple[int, ...] = tuple(budgets)
-        else:
-            self.tile_budgets = tuple(range(1, platform.tile_count + 1))
-        self.list_options = list_options or ListSchedulerOptions()
 
     # ------------------------------------------------------------------ #
     def explore_scenario(self, task_name: str, scenario: Scenario
                          ) -> ParetoCurve:
-        """Build the Pareto curve of one scenario."""
+        """Build the Pareto curve of one scenario.
+
+        The budgets are 1 tile up to the scenario's parallelism (more
+        tiles cannot shorten the makespan any further), plus the whole
+        tile pool: that schedule is as fast as the widest Pareto point and
+        leaves every configuration on its own tile, which is what the
+        overhead experiments (and the reuse module) rely on.
+        """
         graph = scenario.graph
+        tile_count = self.platform.tile_count
         parallelism = max(1, max_parallelism(graph))
-        budgets: List[int] = []
-        for tile_count in self.tile_budgets:
-            if tile_count > parallelism and budgets:
-                # More tiles than exploitable parallelism cannot improve the
-                # makespan any further; the previous budget already covers
-                # the time/energy trade-off.
-                break
+        budgets = list(range(1, min(parallelism, tile_count) + 1))
+        if budgets[-1] != tile_count:
             budgets.append(tile_count)
-        if not budgets:
-            budgets.append(self.tile_budgets[0])
-        if self.include_full_pool and self.tile_budgets[-1] not in budgets:
-            # Always keep the schedule that spreads the task over the whole
-            # tile pool: it is as fast as the widest Pareto point and leaves
-            # every configuration on its own tile, which is what the
-            # overhead experiments (and the reuse module) rely on.
-            budgets.append(self.tile_budgets[-1])
         points: List[ParetoPoint] = []
-        for tile_count in budgets:
-            placed = self._schedule_with_budget(graph, tile_count)
-            points.append(self._make_point(placed, tile_count))
+        for budget in budgets:
+            placed = self._schedule_with_budget(graph, budget)
+            points.append(self._make_point(placed, budget))
         return ParetoCurve(task_name, scenario.name, points)
 
     def explore(self, task_set: TaskSet) -> TcmDesignTimeResult:
@@ -325,9 +247,7 @@ class TcmDesignTimeScheduler:
 
     # ------------------------------------------------------------------ #
     def _schedule_with_budget(self, graph, tile_count: int) -> PlacedSchedule:
-        budget_platform = self.platform.with_tiles(tile_count)
-        scheduler = ListScheduler(budget_platform, self.list_options)
-        return scheduler.schedule(graph)
+        return ListScheduler(self.platform.with_tiles(tile_count)).schedule(graph)
 
     def _make_point(self, placed: PlacedSchedule, tile_count: int
                     ) -> ParetoPoint:

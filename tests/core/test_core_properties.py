@@ -49,7 +49,7 @@ def test_critical_subset_property_with_heuristic_engine(params):
     """The property also holds when the list heuristic is the engine."""
     placed, latency = build_placed(params)
     selector = CriticalSubtaskSelector(
-        scheduler=ListPrefetchScheduler("ideal-start")
+        scheduler=ListPrefetchScheduler()
     )
     result = selector.select(placed, latency)
     assert result.schedule.overhead <= 1e-6

@@ -105,7 +105,7 @@ class TestSelectionLoop:
 
     def test_heuristic_engine_also_terminates(self, benchmark_graphs):
         selector = CriticalSubtaskSelector(
-            scheduler=ListPrefetchScheduler("ideal-start")
+            scheduler=ListPrefetchScheduler()
         )
         for graph in benchmark_graphs:
             placed = _placed(graph)

@@ -57,10 +57,6 @@ class TestPlatform:
         assert all(tile.is_blank for tile in tiles)
         assert [tile.index for tile in tiles] == [0, 1, 2, 3, 4]
 
-    def test_communication_latency_default_zero(self):
-        platform = virtex2_platform(tile_count=8)
-        assert platform.communication_latency(0, 5, data_size=100.0) == 0.0
-
 
 class TestEnergyModel:
     def test_task_energy(self):

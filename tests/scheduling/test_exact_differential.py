@@ -65,7 +65,7 @@ def pr2_reference_search(problem: PrefetchProblem
     """
     placed = problem.placed
     loads = list(problem.loads)
-    seed_order = ListPrefetchScheduler("ideal-start").load_order(problem)
+    seed_order = ListPrefetchScheduler().load_order(problem)
     seed_timed = replay_schedule(
         placed, problem.reconfiguration_latency, seed_order,
         priority_order=seed_order, release_time=problem.release_time,

@@ -3,14 +3,9 @@
 import pytest
 
 from repro.errors import SchedulingError
-from repro.graphs.subtask import drhw_subtask, isp_subtask
-from repro.graphs.taskgraph import TaskGraph, chain_graph
+from repro.graphs.taskgraph import TaskGraph
 from repro.platform.description import Platform
-from repro.scheduling.list_scheduler import (
-    ListScheduler,
-    ListSchedulerOptions,
-    build_initial_schedule,
-)
+from repro.scheduling.list_scheduler import build_initial_schedule
 
 
 class TestBasicScheduling:
@@ -71,30 +66,16 @@ class TestBasicScheduling:
                     assert placed.makespan <= previous + 1e-9
                 previous = placed.makespan
 
+    def test_empty_graph_rejected(self, platform8):
+        with pytest.raises(Exception):
+            build_initial_schedule(TaskGraph("empty"), platform8)
+
 
 class TestSpreadingAndPacking:
     def test_spreading_uses_one_tile_per_subtask(self, chain4, platform8):
-        options = ListSchedulerOptions(prefer_spreading=True)
-        placed = ListScheduler(platform8, options).schedule(chain4)
+        placed = build_initial_schedule(chain4, platform8)
         used = {placed.resource_of(name) for name in chain4.subtask_names}
         assert len(used) == len(chain4)
-
-    def test_packing_reuses_tiles_for_chains(self, chain4, platform8):
-        options = ListSchedulerOptions(prefer_spreading=False)
-        placed = ListScheduler(platform8, options).schedule(chain4)
-        used = {placed.resource_of(name) for name in chain4.subtask_names}
-        assert len(used) == 1
-
-    def test_spreading_does_not_change_makespan(self, benchmark_graphs,
-                                                platform8):
-        for graph in benchmark_graphs:
-            spread = ListScheduler(
-                platform8, ListSchedulerOptions(prefer_spreading=True)
-            ).schedule(graph)
-            packed = ListScheduler(
-                platform8, ListSchedulerOptions(prefer_spreading=False)
-            ).schedule(graph)
-            assert spread.makespan == pytest.approx(packed.makespan)
 
     def test_deterministic(self, benchmark_graphs, platform8):
         for graph in benchmark_graphs:
@@ -102,23 +83,3 @@ class TestSpreadingAndPacking:
             b = build_initial_schedule(graph, platform8)
             assert a.placements == b.placements
 
-
-class TestCommunicationAwareScheduling:
-    def test_communication_latency_extends_makespan(self):
-        from repro.platform.icn import mesh_icn
-        graph = chain_graph("comm", [5.0, 5.0])
-        graph_with_data = TaskGraph("comm2")
-        graph_with_data.add_subtask(drhw_subtask("s0", 5.0))
-        graph_with_data.add_subtask(drhw_subtask("s1", 5.0))
-        graph_with_data.add_dependency("s0", "s1", data_size=100.0)
-        platform = Platform(tile_count=4, icn=mesh_icn(base_latency=1.0,
-                                                       hop_latency=0.5))
-        options = ListSchedulerOptions(respect_communication=True,
-                                       prefer_spreading=False)
-        placed = ListScheduler(platform, options).schedule(graph_with_data)
-        # With packing, producer and consumer share a tile: no comm latency.
-        assert placed.makespan == pytest.approx(10.0)
-
-    def test_empty_graph_rejected(self, platform8):
-        with pytest.raises(Exception):
-            build_initial_schedule(TaskGraph("empty"), platform8)

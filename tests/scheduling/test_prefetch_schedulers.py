@@ -68,14 +68,6 @@ class TestListPrefetchScheduler:
         assert result.overhead == pytest.approx(4.0)
         assert result.hidden_load_fraction == pytest.approx(0.75)
 
-    def test_weight_priority_variant(self, chain4_problem):
-        result = ListPrefetchScheduler("weight").schedule(chain4_problem)
-        assert result.overhead == pytest.approx(4.0)
-
-    def test_unknown_priority_rejected(self):
-        with pytest.raises(SchedulingError):
-            ListPrefetchScheduler("bogus")
-
     def test_never_worse_than_on_demand_on_benchmarks(self, benchmark_graphs):
         for graph in benchmark_graphs:
             problem = _problem(graph)

@@ -45,8 +45,8 @@ def reference_replay_schedule(placed: PlacedSchedule,
                               *,
                               on_demand: bool = False,
                               release_time: float = 0.0,
-                              controller_available: Optional[float] = None,
-                              communication=None) -> TimedSchedule:
+                              controller_available: Optional[float] = None
+                              ) -> TimedSchedule:
     """The pre-kernel monolithic replay (regression oracle)."""
     if reconfiguration_latency < 0:
         raise SchedulingError("reconfiguration latency must be non-negative")
@@ -90,15 +90,10 @@ def reference_replay_schedule(placed: PlacedSchedule,
 
     total = len(graph)
 
-    def predecessor_ready_time(name: str, resource: ResourceId) -> float:
+    def predecessor_ready_time(name: str) -> float:
         ready = release_time
         for predecessor in graph.predecessors(name):
-            finish = executions[predecessor].finish
-            if communication is not None:
-                finish += communication(predecessor, name,
-                                        executions[predecessor].resource,
-                                        resource)
-            ready = max(ready, finish)
+            ready = max(ready, executions[predecessor].finish)
         return ready
 
     def executable_head(resource: ResourceId) -> Optional[str]:
@@ -114,7 +109,7 @@ def reference_replay_schedule(placed: PlacedSchedule,
         return name
 
     def execute(name: str, resource: ResourceId) -> None:
-        ready = predecessor_ready_time(name, resource)
+        ready = predecessor_ready_time(name)
         free = resource_free[resource]
         load_done = load_finish.get(name)
         candidates: List[Tuple[StartConstraint, float]] = [
@@ -158,7 +153,7 @@ def reference_replay_schedule(placed: PlacedSchedule,
             if on_demand:
                 if any(p not in executions for p in graph.predecessors(name)):
                     continue
-                enable = max(enable, predecessor_ready_time(name, resource))
+                enable = max(enable, predecessor_ready_time(name))
             found.append((name, enable))
         return found
 

@@ -116,8 +116,6 @@ def test_core_facts_equal_the_name_level_formulas(case):
     assert ListPrefetchScheduler().load_order(problem) == by_start_weight
     assert OnDemandScheduler().schedule(problem).load_order \
         == by_start_weight
-    assert ListPrefetchScheduler("weight").load_order(problem) == tuple(
-        sorted(pending, key=lambda n: (-weight[n], start[n], n)))
 
     configuration = {s.name: s.configuration for s in placed.graph}
     assert core.reuse_tiles == tuple(

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.graphs import generators
 from repro.graphs.generators import ExecutionTimeModel, random_dag
 from repro.platform.description import Platform
 from repro.scheduling.base import PrefetchProblem
@@ -11,6 +12,9 @@ from repro.scheduling.list_scheduler import build_initial_schedule
 from repro.scheduling.noprefetch import OnDemandScheduler
 from repro.scheduling.prefetch_bb import OptimalPrefetchScheduler
 from repro.scheduling.prefetch_list import ListPrefetchScheduler
+from repro.workloads import registry
+
+from .test_schedule_core import FAMILIES
 
 #: Problem instances: (subtask count, edge probability, seed, tiles, latency).
 problem_params = st.tuples(
@@ -108,9 +112,7 @@ bb_params = st.tuples(
 def test_branch_and_bound_is_lower_bound(params):
     problem = build_problem(params)
     optimal = OptimalPrefetchScheduler().schedule(problem)
-    for scheduler in (ListPrefetchScheduler("ideal-start"),
-                      ListPrefetchScheduler("weight"),
-                      OnDemandScheduler()):
+    for scheduler in (ListPrefetchScheduler(), OnDemandScheduler()):
         result = scheduler.schedule(problem)
         assert optimal.makespan <= result.makespan + 1e-9
 
@@ -142,3 +144,40 @@ def test_ideal_makespan_is_floor(params):
         problem.with_reused(problem.placed.drhw_names)
     )
     assert no_loads.makespan == pytest.approx(no_loads.ideal_makespan)
+
+
+def assert_replays_placed_schedule(placed):
+    """With no loads the replay is the placed schedule, start for start.
+
+    This is the eager premise of the branch-and-bound floors
+    (``release + placed.makespan`` and ``ReplayState.critical_floor``):
+    no subtask of a list-scheduled placement could start earlier.
+    """
+    timed = replay_schedule(placed, 4.0, [])
+    assert timed.load_count == 0
+    for name, placement in placed.placements.items():
+        execution = timed.executions[name]
+        assert (execution.start, execution.finish) == (placement.start,
+                                                      placement.finish), name
+    assert timed.makespan == placed.makespan
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)),
+       seed=st.integers(0, 10_000),
+       tiles=st.sampled_from((2, 4, 8)),
+       with_isp=st.booleans())
+def test_replay_without_loads_is_the_placed_schedule(family, seed, tiles,
+                                                     with_isp):
+    graph = FAMILIES[family](seed)
+    if with_isp:
+        graph = generators.with_isp_fraction(graph, 0.3, seed=seed)
+    assert_replays_placed_schedule(
+        build_initial_schedule(graph, Platform(tile_count=tiles)))
+
+
+@pytest.mark.parametrize("tiles", (2, 4, 8))
+@pytest.mark.parametrize("name", registry.task_graph_names())
+def test_registered_graphs_replay_as_placed(name, tiles):
+    assert_replays_placed_schedule(build_initial_schedule(
+        registry.build_task_graph(name), Platform(tile_count=tiles)))

@@ -12,11 +12,13 @@ next flush heals in place.
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import threading
 
 import pytest
 
+from repro.jsonio import dumps_canonical
 from repro.platform.description import Platform
 from repro.runner import SweepEngine, TraceStreamConfig, run_trace_stream
 from repro.scheduling import (
@@ -27,11 +29,14 @@ from repro.scheduling import (
     build_initial_schedule,
 )
 from repro.scheduling.pool import reset_process_scheduler_pool
+from repro.scheduling.schedule import PlacedSchedule
 from repro.scheduling.ttstore import (
     LOADED_GENERATION,
     TTSTORE_FORMAT_VERSION,
+    placed_payload,
 )
 from repro.storage import LocalDirBackend
+from repro.workloads import registry
 from repro.workloads.multimedia import (
     jpeg_decoder_graph,
     pattern_recognition_graph,
@@ -65,6 +70,34 @@ def table_path(store: TranspositionStore, problem: PrefetchProblem):
                                 problem.release_time,
                                 None, BranchAndBoundScheduler().table_limit)
     return store.path_for(context)
+
+
+#: sha256 of each graph's canonical ``placed_payload`` at 8 tiles.
+PAYLOAD_DIGESTS = {
+    "jpeg_decoder": "2932dbc68291d0f28fa8e94b3e2c3526"
+                    "0899de6d1de6ae68fa395584d4b29a9f",
+    "parallel_jpeg": "3741b2f3026dbbeea787f593a82ea3b1"
+                     "d3cc213bafbf62ca6650a09a854b0902",
+}
+
+
+class TestPlacedPayload:
+    """Table file names and interned replay cores are keyed by a digest
+    of this payload, so its canonical bytes may never move."""
+
+    @pytest.mark.parametrize("name", sorted(PAYLOAD_DIGESTS))
+    def test_canonical_bytes_are_pinned(self, name):
+        placed = build_initial_schedule(registry.build_task_graph(name),
+                                        Platform(tile_count=8))
+        canonical = dumps_canonical(placed_payload(placed))
+        assert (hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+                == PAYLOAD_DIGESTS[name])
+
+    def test_placement_order_does_not_matter(self):
+        placed = make_problem(tiles=3).placed
+        reversed_placements = PlacedSchedule(
+            placed.graph, dict(reversed(placed.placements.items())))
+        assert placed_payload(reversed_placements) == placed_payload(placed)
 
 
 class TestWarmFromDisk:

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.core.hybrid import HybridPrefetchHeuristic
 from repro.errors import ConfigurationError
 from repro.platform.description import Platform
-from repro.scheduling.prefetch_bb import OptimalPrefetchScheduler
+from repro.scheduling.pool import SchedulerPool
 from repro.tcm.design_time import (
     TcmDesignTimeScheduler,
     point_key_for_tiles,
@@ -74,96 +73,27 @@ class TestExploration:
         assert len(listed) == sum(len(curve)
                                   for curve in design_result.curves.values())
 
-    def test_invalid_budgets_rejected(self, platform):
-        with pytest.raises(ConfigurationError):
-            TcmDesignTimeScheduler(platform, tile_budgets=[0])
-        with pytest.raises(ConfigurationError):
-            TcmDesignTimeScheduler(platform, tile_budgets=[100])
-
-    def test_explicit_budgets(self, platform):
-        explorer = TcmDesignTimeScheduler(platform, tile_budgets=[1, 2])
-        result = explorer.explore(multimedia_task_set())
-        for curve in result.curves.values():
-            assert all(point.tile_count in (1, 2) for point in curve)
-
     def test_build_design_store_covers_every_point(self, design_result):
-        hybrid = HybridPrefetchHeuristic(4.0)
-        store = design_result.build_design_store(hybrid)
+        store = design_result.build_design_store(4.0)
         assert len(store) == len(design_result.schedules())
 
 
 class TestDesignStoreMemoization:
     def test_equivalent_heuristics_share_one_store(self, design_result):
-        first = design_result.build_design_store(HybridPrefetchHeuristic(4.0))
-        second = design_result.build_design_store(HybridPrefetchHeuristic(4.0))
+        first = design_result.build_design_store(4.0)
+        second = design_result.build_design_store(4.0)
         assert second is first
         assert design_result.store_cache_hits >= 1
 
-    def test_subclassed_design_engine_is_memoized(self, design_result):
-        """Subclasses of the known engines no longer disable the cache.
-
-        ``_scheduler_signature`` used to return ``None`` for anything that
-        was not *exactly* a known type (the ``type(...) is`` pitfall), so a
-        trivially subclassed engine silently rebuilt the store on every
-        call.  The conservative fallback signature (class identity plus
-        public scalar/scheduler configuration) restores memoization —
-        without ever aliasing the subclass with its base class.
-        """
-        from repro.tcm.design_time import _scheduler_signature
-
-        class TracingOptimal(OptimalPrefetchScheduler):
-            pass
-
-        base_signature = _scheduler_signature(OptimalPrefetchScheduler())
-        sub_signature = _scheduler_signature(TracingOptimal())
-        assert sub_signature is not None
-        assert sub_signature != base_signature
-
+    def test_latency_is_the_memo_key(self, design_result):
         misses_before = design_result.store_cache_misses
-        first = design_result.build_design_store(
-            HybridPrefetchHeuristic(4.0, design_scheduler=TracingOptimal())
-        )
-        second = design_result.build_design_store(
-            HybridPrefetchHeuristic(4.0, design_scheduler=TracingOptimal())
-        )
-        assert second is first
-        assert design_result.store_cache_misses == misses_before + 1
-        # The subclass store must not be served for the base engine or
-        # vice versa (different signature, different cache slot).
-        base_store = design_result.build_design_store(
-            HybridPrefetchHeuristic(4.0)
-        )
-        assert base_store is not first or base_signature == sub_signature
+        slow = design_result.build_design_store(4.0)
+        fast = design_result.build_design_store(2.0)
+        assert fast is not slow
+        assert design_result.store_cache_misses == misses_before + 2
+        assert {entry.reconfiguration_latency for entry in fast} == {2.0}
 
-    def test_undescribable_engine_stays_uncached_but_observably(
-            self, design_result):
-        """Engines with public state the signature cannot capture are not
-        silently dropped any more: the miss is counted."""
-
-        class StatefulEngine(OptimalPrefetchScheduler):
-            def __init__(self):
-                super().__init__()
-                self.history = []  # public, non-scalar: cannot be described
-
-        from repro.tcm.design_time import _scheduler_signature
-        assert _scheduler_signature(StatefulEngine()) is None
-
-        uncached_before = design_result.store_cache_uncached
-        hybrid = HybridPrefetchHeuristic(4.0,
-                                         design_scheduler=StatefulEngine())
-        first = design_result.build_design_store(hybrid)
-        second = design_result.build_design_store(hybrid)
-        assert second is not first
-        assert design_result.store_cache_uncached == uncached_before + 2
-
-    def test_pool_attribute_does_not_change_the_signature(self):
-        """Warm pools are perf-only: pooled and cold engines share a slot."""
-        from repro.scheduling.pool import SchedulerPool
-        from repro.tcm.design_time import _scheduler_signature
-
-        class Wrapped(OptimalPrefetchScheduler):
-            pass
-
-        cold = Wrapped()
-        pooled = Wrapped(pool=SchedulerPool())
-        assert _scheduler_signature(cold) == _scheduler_signature(pooled)
+    def test_a_caller_pool_reads_the_same_slot(self, design_result):
+        """Warm pools change search speed, never the store."""
+        first = design_result.build_design_store(4.0, SchedulerPool())
+        assert design_result.build_design_store(4.0) is first

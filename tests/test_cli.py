@@ -182,6 +182,12 @@ class TestCommands:
         assert _digest(output) == ("cda85b486ad8135eddcba38a12158034"
                                    "89586884094077022fdb341bbb5aeecd")
 
+    def test_repeated_x_values_print_one_row(self, capsys):
+        assert main(["figure6", "--iterations", "3", "--tiles", "8"]) == 0
+        once = capsys.readouterr().out
+        assert main(["figure6", "--iterations", "3", "--tiles", "8", "8"]) == 0
+        assert capsys.readouterr().out == once
+
     def test_figure7_tiny(self, capsys):
         assert main(["figure7", "--iterations", "5", "--tiles", "6"]) == 0
         output = capsys.readouterr().out
